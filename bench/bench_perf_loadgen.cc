@@ -29,6 +29,7 @@
 #include "serve/daemon.h"
 #include "synth/click_graph_generator.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/string_util.h"
 
 namespace simrankpp {
@@ -124,9 +125,17 @@ std::vector<std::string> SampleQueries(const BipartiteGraph& graph,
   return queries;
 }
 
+// Value of one exposition sample ("name{labels} value") in a metrics
+// document, or -1 when the series is absent.
+double SampleValue(const std::string& text, const std::string& series) {
+  size_t at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(text.c_str() + at + series.size() + 2, nullptr);
+}
+
 // Cold/warm round-trip against the BenchWorld "lazy" tenant: a query no
 // load connection touched must be answered (computed on the spot), the
-// repeat must match it, and the daemon's STATS text must show the row
+// repeat must match it, and the daemon's metrics frame must show the row
 // cache working. Returns 0 on success.
 int VerifyOnDemand(const std::string& host, uint16_t port,
                    const BipartiteGraph& graph_a) {
@@ -149,21 +158,21 @@ int VerifyOnDemand(const std::string& host, uint16_t port,
     std::fprintf(stderr, "warm repeat did not match the cold answer\n");
     return 1;
   }
-  if (!client.SendStats(9003).ok()) return 1;
-  Result<loadgen::Reply> stats = client.ReadReply();
-  if (!stats.ok()) return 1;
-  for (const char* needle :
-       {"on_demand=1", "rows_computed=", "cold_admitted="}) {
-    if (stats->text.find(needle) == std::string::npos) {
-      std::fprintf(stderr, "STATS text is missing \"%s\":\n%s\n", needle,
-                   stats->text.c_str());
+  if (!client.SendMetrics(9003).ok()) return 1;
+  Result<loadgen::Reply> metrics = client.ReadReply();
+  if (!metrics.ok() || metrics->type != FrameType::kMetricsResponse) {
+    return 1;
+  }
+  // The repeat must have hit the row cache, not recomputed the row.
+  for (const char* family :
+       {"srpp_rows_computed_total", "srpp_cold_requests_total",
+        "srpp_row_cache_hits_total"}) {
+    if (SampleValue(metrics->text,
+                    StringPrintf("%s{tenant=\"lazy\"}", family)) < 1.0) {
+      std::fprintf(stderr, "metrics show no %s for the lazy tenant:\n%s\n",
+                   family, metrics->text.c_str());
       return 1;
     }
-  }
-  if (stats->text.find("cache_hits=0 ") != std::string::npos) {
-    std::fprintf(stderr, "expected at least one row-cache hit:\n%s\n",
-                 stats->text.c_str());
-    return 1;
   }
   std::printf("on-demand tenant verified: cold answered, repeat hit the "
               "row cache\n");
@@ -320,11 +329,10 @@ int Main(int argc, char** argv) {
       stages_before, ScrapeStageSamples(base.host, base.port));
   std::printf("%s", stages.ToString().c_str());
 
-  DaemonMetrics metrics = (*daemon)->Metrics();
-  std::printf("daemon: admitted=%llu batches=%llu max_batch=%llu\n",
-              static_cast<unsigned long long>(metrics.requests_admitted),
-              static_cast<unsigned long long>(metrics.batches_executed),
-              static_cast<unsigned long long>(metrics.max_batch_size));
+  MetricsSnapshot metrics = (*daemon)->metrics_registry().Snapshot();
+  std::printf("daemon: admitted=%.0f batches=%.0f\n",
+              metrics.Sum("srpp_requests_total", {{"code", "ok"}}),
+              metrics.Sum("srpp_batches_total"));
   (*daemon)->RequestShutdown();
   int exit_code = (*daemon)->Wait();
   if (exit_code != 0) {

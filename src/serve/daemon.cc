@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -127,30 +128,6 @@ class ServeDaemon::Impl {
     return reloaded;
   }
 
-  DaemonMetrics Metrics() const {
-    // A view over the registry: process-level families read directly,
-    // per-tenant families summed across tenants.
-    DaemonMetrics m;
-    m.connections_accepted = connections_accepted_->Value();
-    m.connections_refused = connections_refused_->Value();
-    m.frames_received = frames_received_->Value();
-    m.requests_draining = draining_daemon_->Value();
-    m.bad_frames = bad_frames_->Value();
-    m.bad_requests = bad_requests_->Value();
-    m.responses_sent = responses_sent_->Value();
-    m.max_batch_size = max_batch_size_.load();
-    m.reloads_applied = reloads_applied_->Value();
-    MutexLock lock(&states_mu_);
-    for (const auto& [name, state] : states_) {
-      m.requests_admitted += state->admitted->Value();
-      m.requests_shed += state->shed->Value();
-      m.requests_rate_limited += state->rate_limited->Value();
-      m.requests_draining += state->draining->Value();
-      m.batches_executed += state->batches->Value();
-    }
-    return m;
-  }
-
   const MetricsRegistry& metrics_registry() const { return metrics_; }
   std::string MetricsText() const { return metrics_.PrometheusText(); }
   uint16_t metrics_port() const {
@@ -196,7 +173,7 @@ class ServeDaemon::Impl {
   // Per-tenant admission + batching state. The bucket is event-loop-
   // private; the pending queue is shared with batch workers under mu;
   // the stats handles are registry children (lock-free increments) —
-  // the registry is the one source of truth, STATS renders from it.
+  // the registry is the one source of truth for every serving fact.
   struct TenantState {
     TenantState(const DaemonOptions& options, const std::string& tenant,
                 MetricsRegistry* metrics)
@@ -244,8 +221,6 @@ class ServeDaemon::Impl {
     Counter* batches = nullptr;
     HistogramMetric* queue_fill = nullptr;
     HistogramMetric* latency_seconds = nullptr;
-    // High-water mark, not a registry family (no unit; STATS-only).
-    std::atomic<uint64_t> max_batch{0};
 
     Mutex mu;
     std::vector<PendingRequest> pending SRPP_GUARDED_BY(mu);
@@ -283,7 +258,6 @@ class ServeDaemon::Impl {
   void BeginDrain();
   bool DrainComplete();
   void DrainOutbox();
-  std::string StatsText();
 
   // ----- worker side ---------------------------------------------------
 
@@ -389,7 +363,6 @@ class ServeDaemon::Impl {
   // Unknown-tenant refusals, collapsed to one child so hostile tenant
   // names cannot grow label cardinality.
   Counter* unknown_tenant_ = nullptr;
-  std::atomic<uint64_t> max_batch_size_{0};
 
   friend class ServeDaemon;
 };
@@ -436,7 +409,6 @@ Status ServeDaemon::Impl::Boot() {
       "srpp_simd_info", "Active SIMD dispatch level for this process.",
       {{"level", simd::SimdLevelName(simd::ActiveSimdLevel())}});
   TraceRecorderOptions trace_options;
-  trace_options.ring_capacity = options_.trace_ring_capacity;
   trace_options.slow_request_seconds = options_.slow_request_seconds;
   tracer_ = std::make_unique<TraceRecorder>(&metrics_, trace_options);
 
@@ -445,12 +417,10 @@ Status ServeDaemon::Impl::Boot() {
                                            registry_.get());
   Status loaded = store_->LoadAll();
   if (!loaded.ok()) {
-    // An unreadable/unparsable manifest loads nothing — fatal either
-    // way. Per-tenant failures are fatal only under require_all_tenants;
-    // otherwise the loaded tenants serve and STATS carries the failures.
-    if (options_.require_all_tenants || registry_->size() == 0) {
-      return loaded;
-    }
+    // Nothing loaded (including an unreadable/unparsable manifest) is
+    // fatal; otherwise the loaded tenants serve and srpp_tenant_info
+    // carries the failures.
+    if (registry_->size() == 0) return loaded;
     SRPP_LOG(Warning) << "serve daemon starting degraded: "
                       << loaded.ToString();
   }
@@ -543,8 +513,8 @@ void ServeDaemon::Impl::RegisterTenantCollector() {
     MetricFamilySnapshot info;
     info.name = "srpp_tenant_info";
     info.help =
-        "Per-tenant identity: method, scoring mode, generation, and "
-        "last-reload outcome.";
+        "Per-tenant identity: method, side, scoring mode, generation, "
+        "snapshot checksum, and last-reload outcome.";
     info.kind = MetricKind::kGauge;
     MetricFamilySnapshot queries = counter_family(
         "srpp_tenant_queries_total",
@@ -571,6 +541,7 @@ void ServeDaemon::Impl::RegisterTenantCollector() {
         "srpp_engine_reused_pairs_total",
         "Pairs carried over unchanged by the incremental engine path.");
     for (const TenantServeStats& stats : registry->Stats()) {
+      const std::optional<RewriteServiceStats>& service = stats.service;
       MetricLabels tenant{{"tenant", stats.tenant}};
       auto add = [&tenant](MetricFamilySnapshot* family, double value) {
         MetricPoint point;
@@ -581,30 +552,35 @@ void ServeDaemon::Impl::RegisterTenantCollector() {
       MetricPoint identity;
       identity.labels = {
           {"tenant", stats.tenant},
-          {"method", stats.method_name},
-          {"scoring", !stats.serving ? "none"
-                      : stats.on_demand ? "on-demand"
-                                        : "precomputed"},
+          {"method", service ? service->method_name : ""},
+          {"side", service ? SnapshotSideName(service->side) : ""},
+          {"scoring", !service             ? "none"
+                      : service->on_demand ? "on-demand"
+                                           : "precomputed"},
           {"generation", StringPrintf("%llu", static_cast<unsigned long long>(
                                                   stats.generation))},
+          {"checksum",
+           service ? StringPrintf("%016llx",
+                                  static_cast<unsigned long long>(
+                                      service->snapshot_checksum))
+                   : ""},
           {"reload", stats.last_reload_ok ? "ok" : "failed"},
       };
       identity.value = 1.0;
       info.points.push_back(std::move(identity));
-      if (!stats.serving) continue;
-      add(&queries, static_cast<double>(stats.queries_served));
-      if (stats.on_demand) {
-        add(&rows, static_cast<double>(stats.rows_computed));
-        add(&hits, static_cast<double>(stats.row_cache_hits));
-        add(&misses, static_cast<double>(stats.row_cache_misses));
-        add(&evictions, static_cast<double>(stats.row_cache_evictions));
+      if (!service) continue;
+      add(&queries, static_cast<double>(service->queries_served));
+      if (service->on_demand) {
+        add(&rows, static_cast<double>(service->rows_computed));
+        add(&hits, static_cast<double>(service->row_cache_hits));
+        add(&misses, static_cast<double>(service->row_cache_misses));
+        add(&evictions, static_cast<double>(service->row_cache_evictions));
       }
-      if (stats.engine_stats.iterations_run > 0) {
-        add(&iterations,
-            static_cast<double>(stats.engine_stats.iterations_run));
-        add(&rescored,
-            static_cast<double>(stats.engine_stats.rescored_pairs));
-        add(&reused, static_cast<double>(stats.engine_stats.reused_pairs));
+      const SimRankStats& engine = service->engine_stats;
+      if (engine.iterations_run > 0) {
+        add(&iterations, static_cast<double>(engine.iterations_run));
+        add(&rescored, static_cast<double>(engine.rescored_pairs));
+        add(&reused, static_cast<double>(engine.reused_pairs));
       }
     }
     for (MetricFamilySnapshot* family :
@@ -733,7 +709,7 @@ void ServeDaemon::Impl::ParseFrames(Connection* conn) {
                           conn->in.size() - consumed);
     FrameHeader header;
     FrameDecode decode =
-        DecodeFrameHeader(rest, options_.max_frame_payload, &header);
+        DecodeFrameHeader(rest, kMaxFramePayloadBytes, &header);
     if (decode == FrameDecode::kNeedMoreData) break;
     if (decode != FrameDecode::kOk) {
       // The stream cannot be resynchronized after a corrupt header: tell
@@ -789,20 +765,12 @@ void ServeDaemon::Impl::HandleFrame(Connection* conn,
       AppendOutput(conn, std::move(out));
       return;
     }
-    case FrameType::kStatsRequest: {
-      std::string out;
-      AppendTextFrame(FrameType::kStatsResponse, WireCode::kOk,
-                      header.request_id, StatsText(), &out);
-      responses_sent_->Increment();
-      AppendOutput(conn, std::move(out));
-      return;
-    }
     case FrameType::kMetricsRequest: {
       std::string text = metrics_.PrometheusText();
       // A frame cannot announce more than the payload ceiling; a
       // pathological tenant count truncates rather than breaking framing
       // (the HTTP endpoint has no such limit).
-      size_t limit = options_.max_frame_payload - sizeof(uint32_t);
+      size_t limit = kMaxFramePayloadBytes - sizeof(uint32_t);
       if (text.size() > limit) text.resize(limit);
       std::string out;
       AppendTextFrame(FrameType::kMetricsResponse, WireCode::kOk,
@@ -1044,79 +1012,6 @@ void ServeDaemon::Impl::DrainOutbox() {
   }
 }
 
-std::string ServeDaemon::Impl::StatsText() {
-  DaemonMetrics m = Metrics();
-  std::string text = StringPrintf(
-      "serve-daemon simd=%s draining=%d connections=%zu accepted=%llu refused=%llu "
-      "frames=%llu admitted=%llu shed=%llu rate_limited=%llu draining_refused=%llu "
-      "bad_frames=%llu bad_requests=%llu responses=%llu batches=%llu "
-      "max_batch=%llu reloads=%llu\n",
-      simd::SimdLevelName(simd::ActiveSimdLevel()),
-      draining_.load() ? 1 : 0, connections_.size(),
-      static_cast<unsigned long long>(m.connections_accepted),
-      static_cast<unsigned long long>(m.connections_refused),
-      static_cast<unsigned long long>(m.frames_received),
-      static_cast<unsigned long long>(m.requests_admitted),
-      static_cast<unsigned long long>(m.requests_shed),
-      static_cast<unsigned long long>(m.requests_rate_limited),
-      static_cast<unsigned long long>(m.requests_draining),
-      static_cast<unsigned long long>(m.bad_frames),
-      static_cast<unsigned long long>(m.bad_requests),
-      static_cast<unsigned long long>(m.responses_sent),
-      static_cast<unsigned long long>(m.batches_executed),
-      static_cast<unsigned long long>(m.max_batch_size),
-      static_cast<unsigned long long>(m.reloads_applied));
-  for (const TenantServeStats& tenant_stats : registry_->Stats()) {
-    text += tenant_stats.ToString();
-    text += '\n';
-    TenantState* state = GetOrCreateState(tenant_stats.tenant);
-    // The bucket is event-loop-private state; StatsText runs on the I/O
-    // thread (kStatsRequest is handled inline), so reading it here honors
-    // the single-owner contract.
-    double bucket_fill = state->bucket.unlimited()
-                             ? -1.0
-                             : state->bucket.AvailableAt(NowSeconds());
-    // Counter/histogram lines render from the registry children — STATS
-    // is a view over the same cells /metrics scrapes, not a second set
-    // of books.
-    text += StringPrintf(
-        "  admission: admitted=%llu cold_admitted=%llu shed=%llu "
-        "rate_limited=%llu served=%llu batches=%llu max_batch=%llu\n",
-        static_cast<unsigned long long>(state->admitted->Value()),
-        static_cast<unsigned long long>(state->cold_admitted->Value()),
-        static_cast<unsigned long long>(state->shed->Value()),
-        static_cast<unsigned long long>(state->rate_limited->Value()),
-        static_cast<unsigned long long>(state->served->Value()),
-        static_cast<unsigned long long>(state->batches->Value()),
-        static_cast<unsigned long long>(state->max_batch.load()));
-    {
-      MutexLock lock(&state->mu);
-      // Instantaneous admission snapshot: current queue depth and billed
-      // cost, plus token-bucket fill (-1 = unlimited, no bucket in play).
-      text += StringPrintf("  queue: depth=%zu cost=%zu bucket_fill=%.2f\n",
-                           state->pending.size(), state->pending_cost,
-                           bucket_fill);
-    }
-    HistogramSnapshot lat = state->latency_seconds->Snapshot();
-    text += StringPrintf(
-        "  latency_us: count=%llu mean=%.1f min=%.1f max=%.1f "
-        "p50=%.1f p90=%.1f p99=%.1f\n",
-        static_cast<unsigned long long>(lat.count), lat.mean() * 1e6,
-        lat.ApproxQuantile(0.0) * 1e6, lat.ApproxQuantile(1.0) * 1e6,
-        lat.ApproxQuantile(0.5) * 1e6, lat.ApproxQuantile(0.9) * 1e6,
-        lat.ApproxQuantile(0.99) * 1e6);
-    HistogramSnapshot fill = state->queue_fill->Snapshot();
-    const double capacity =
-        static_cast<double>(std::max<size_t>(1, options_.max_queue_per_tenant));
-    text += StringPrintf(
-        "  queue_depth: count=%llu mean=%.2f max=%.0f p99=%.1f\n",
-        static_cast<unsigned long long>(fill.count), fill.mean() * capacity,
-        fill.ApproxQuantile(1.0) * capacity,
-        fill.ApproxQuantile(0.99) * capacity);
-  }
-  return text;
-}
-
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
@@ -1249,15 +1144,6 @@ void ServeDaemon::Impl::RunBatch(std::string tenant_name,
   }
   state->served->Increment(batch.size());
   state->batches->Increment();
-  uint64_t tenant_observed = state->max_batch.load();
-  while (tenant_observed < batch.size() &&
-         !state->max_batch.compare_exchange_weak(tenant_observed,
-                                                 batch.size())) {
-  }
-  uint64_t observed = max_batch_size_.load();
-  while (observed < batch.size() &&
-         !max_batch_size_.compare_exchange_weak(observed, batch.size())) {
-  }
   responses_sent_->Increment(batch.size());
   PushCompletions(std::move(completions));
 
@@ -1418,8 +1304,6 @@ int ServeDaemon::Wait() { return impl_->Wait(); }
 Result<std::vector<std::string>> ServeDaemon::PollNow() {
   return impl_->PollNow();
 }
-
-DaemonMetrics ServeDaemon::Metrics() const { return impl_->Metrics(); }
 
 const MetricsRegistry& ServeDaemon::metrics_registry() const {
   return impl_->metrics_registry();

@@ -9,8 +9,9 @@
 /// bucket rate limit plus a bounded pending queue that sheds on overflow
 /// — and concurrent TopK requests for the same tenant are coalesced into
 /// TopKBatch micro-batches executed on the process-wide SharedThreadPool.
-/// Per-tenant latency and queue-depth histograms are served through the
-/// STATS request.
+/// Every serving fact (admission outcomes, latency and queue-fill
+/// histograms, per-tenant identity and row-cache counters) lives in the
+/// daemon's MetricsRegistry, read by the metrics frame and GET /metrics.
 ///
 /// Hot reload: a watcher thread drives SnapshotStore::PollForChanges —
 /// woken by inotify on the manifest/snapshot directories when available,
@@ -37,7 +38,6 @@
 #include "serve/snapshot_store.h"
 #include "serve/tenant_registry.h"
 #include "serve/token_bucket.h"
-#include "util/histogram.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -68,8 +68,6 @@ struct DaemonOptions {
   double tenant_qps = 0.0;
   /// Token-bucket capacity (burst size).
   double tenant_burst = 64.0;
-  /// Frames announcing a larger payload are rejected as kBadFrame.
-  uint32_t max_frame_payload = kMaxFramePayloadBytes;
   /// Run the hot-reload watcher thread.
   bool enable_watcher = true;
   /// Prefer inotify wakeups; mtime polling is used when false or when
@@ -77,10 +75,6 @@ struct DaemonOptions {
   bool use_inotify = true;
   /// Fallback poll cadence (and inotify debounce backstop), seconds.
   double watch_poll_seconds = 0.5;
-  /// When true, Start fails unless every manifest tenant loads; when
-  /// false the daemon serves the tenants that did load (failures stay
-  /// visible in STATS).
-  bool require_all_tenants = false;
   /// Test hook: sleep this long inside each micro-batch execution, so
   /// coalescing/shedding/drain windows are deterministic in tests.
   int debug_batch_delay_ms = 0;
@@ -92,26 +86,6 @@ struct DaemonOptions {
   /// stage breakdown and count into srpp_slow_requests_total; <= 0
   /// disables the slow-request log.
   double slow_request_seconds = 0.0;
-  /// Capacity of the recent-trace ring served by RecentTraces().
-  size_t trace_ring_capacity = 64;
-};
-
-/// \brief Point-in-time daemon counters (process-wide; per-tenant detail
-/// travels in the STATS response text).
-struct DaemonMetrics {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_refused = 0;
-  uint64_t frames_received = 0;
-  uint64_t requests_admitted = 0;
-  uint64_t requests_shed = 0;
-  uint64_t requests_rate_limited = 0;
-  uint64_t requests_draining = 0;
-  uint64_t bad_frames = 0;
-  uint64_t bad_requests = 0;
-  uint64_t responses_sent = 0;
-  uint64_t batches_executed = 0;
-  uint64_t max_batch_size = 0;
-  uint64_t reloads_applied = 0;
 };
 
 /// \brief A running serve daemon. Construction via Start() binds the
@@ -120,7 +94,9 @@ struct DaemonMetrics {
 class ServeDaemon {
  public:
   /// \brief Loads the manifest, binds host:port, and starts the event
-  /// loop + watcher threads. On error nothing is left running.
+  /// loop + watcher threads. Serves whichever tenants loaded (failed ones
+  /// stay visible in srpp_tenant_info); fails only when none did. On
+  /// error nothing is left running.
   static Result<std::unique_ptr<ServeDaemon>> Start(DaemonOptions options);
 
   /// \brief Stops (graceful drain) if still running, then joins.
@@ -146,8 +122,6 @@ class ServeDaemon {
   /// is a RELOAD frame). Returns the tenants reloaded.
   Result<std::vector<std::string>> PollNow();
 
-  DaemonMetrics Metrics() const;
-
   /// \brief This daemon's metric families (one registry per daemon so
   /// tests running several daemons in one process see isolated counts).
   /// Snapshot()/PrometheusText() are safe from any thread.
@@ -161,7 +135,7 @@ class ServeDaemon {
   uint16_t metrics_port() const;
 
   /// \brief Recent completed-request traces, oldest first (bounded by
-  /// options.trace_ring_capacity).
+  /// TraceRecorderOptions::ring_capacity).
   std::vector<RequestTrace> RecentTraces() const;
 
   /// \brief The registry backing this daemon (read-only lookups are safe

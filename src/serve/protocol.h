@@ -35,17 +35,18 @@ inline constexpr uint32_t kMaxFramePayloadBytes = 1u << 20;
 inline constexpr uint16_t kMaxTopKPerRequest = 1000;
 
 /// \brief Frame types. Requests have the high bit clear; responses set
-/// it. kError answers any request type that failed.
+/// it. kError answers any request type that failed. Codes 0x02 and 0x82
+/// are reserved (a retired text-stats exchange; the metrics frame
+/// replaced it) and must never be reused: the daemon answers 0x02 like
+/// any unknown type.
 enum class FrameType : uint8_t {
   kTopKRequest = 0x01,
-  kStatsRequest = 0x02,
   kPingRequest = 0x03,
   kReloadRequest = 0x04,
   /// Pulls the same Prometheus text exposition as GET /metrics.
   kMetricsRequest = 0x05,
   kError = 0x7f,
   kTopKResponse = 0x81,
-  kStatsResponse = 0x82,
   kPingResponse = 0x83,
   kReloadResponse = 0x84,
   kMetricsResponse = 0x85,

@@ -7,32 +7,18 @@
 namespace simrankpp {
 
 std::string TenantServeStats::ToString() const {
-  if (!serving) {
+  if (!service.has_value()) {
     return StringPrintf("tenant=%s serving=no last_error=\"%s\"",
                         tenant.c_str(), last_reload_message.c_str());
   }
   std::string out = StringPrintf(
-      "tenant=%s side=%s gen=%llu method=\"%s\" pairs=%zu served=%llu "
-      "checksum=%016llx reload=%s",
-      tenant.c_str(), SnapshotSideName(side),
-      static_cast<unsigned long long>(generation), method_name.c_str(),
-      similarity_pairs, static_cast<unsigned long long>(queries_served),
-      static_cast<unsigned long long>(snapshot_checksum),
+      "tenant=%s gen=%llu reload=%s ", tenant.c_str(),
+      static_cast<unsigned long long>(generation),
       last_reload_ok ? "ok" : "FAILED");
-  if (on_demand) {
-    out += StringPrintf(
-        " on_demand=1 rows_computed=%llu cache_hits=%llu cache_misses=%llu"
-        " cache_evictions=%llu cache_entries=%zu",
-        static_cast<unsigned long long>(rows_computed),
-        static_cast<unsigned long long>(row_cache_hits),
-        static_cast<unsigned long long>(row_cache_misses),
-        static_cast<unsigned long long>(row_cache_evictions),
-        row_cache_entries);
-  }
   if (!last_reload_ok) {
-    out += " last_error=\"" + last_reload_message + "\"";
+    out += "last_error=\"" + last_reload_message + "\" ";
   }
-  return out;
+  return out + service->ToString();
 }
 
 TenantRegistry::TenantRegistry() {
@@ -76,23 +62,10 @@ std::vector<TenantServeStats> TenantRegistry::Stats() const {
     std::shared_ptr<const Tenant> tenant =
         slot->current.load(std::memory_order_acquire);
     if (tenant != nullptr) {
-      RewriteServiceStats service_stats = tenant->service->Stats();
-      stats.serving = true;
-      stats.side = service_stats.side;
       stats.generation = tenant->generation;
-      stats.method_name = service_stats.method_name;
-      stats.similarity_pairs = service_stats.similarity_pairs;
-      stats.snapshot_checksum = service_stats.snapshot_checksum;
-      stats.queries_served =
-          slot->retired_served.load(std::memory_order_relaxed) +
-          service_stats.queries_served;
-      stats.on_demand = service_stats.on_demand;
-      stats.rows_computed = service_stats.rows_computed;
-      stats.row_cache_hits = service_stats.row_cache_hits;
-      stats.row_cache_misses = service_stats.row_cache_misses;
-      stats.row_cache_evictions = service_stats.row_cache_evictions;
-      stats.row_cache_entries = service_stats.row_cache_entries;
-      stats.engine_stats = service_stats.engine_stats;
+      stats.service = tenant->service->Stats();
+      stats.service->queries_served +=
+          slot->retired_served.load(std::memory_order_relaxed);
     }
     std::shared_ptr<const ReloadEvent> event =
         slot->last_reload.load(std::memory_order_acquire);

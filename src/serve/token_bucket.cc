@@ -28,11 +28,4 @@ bool TokenBucket::TryAcquire(double now_seconds) {
   return true;
 }
 
-double TokenBucket::AvailableAt(double now_seconds) const {
-  if (unlimited()) return burst_;
-  if (!primed_) return tokens_;
-  double elapsed = std::max(0.0, now_seconds - last_refill_);
-  return std::min(burst_, tokens_ + elapsed * rate_);
-}
-
 }  // namespace simrankpp

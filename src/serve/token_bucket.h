@@ -29,9 +29,6 @@ class TokenBucket {
   /// treated as no time having passed).
   bool TryAcquire(double now_seconds);
 
-  /// \brief Tokens available at `now_seconds` (for stats/tests).
-  double AvailableAt(double now_seconds) const;
-
   bool unlimited() const { return rate_ <= 0.0; }
 
  private:

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace simrankpp {
 
@@ -53,69 +52,6 @@ double SummaryStats::Quantile(double q) const {
   size_t hi = std::min(lo + 1, samples_.size() - 1);
   double frac = pos - static_cast<double>(lo);
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SRPP_CHECK(hi > lo) << "Histogram range [" << lo << ", " << hi << ")";
-  SRPP_CHECK(buckets > 0) << "Histogram needs at least one bucket";
-}
-
-void Histogram::Add(double value) {
-  double frac = (value - lo_) / (hi_ - lo_);
-  int64_t idx = static_cast<int64_t>(
-      std::floor(frac * static_cast<double>(counts_.size())));
-  idx = std::clamp<int64_t>(idx, 0,
-                            static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-  sum_ += value;
-}
-
-double Histogram::mean() const {
-  return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
-}
-
-double Histogram::ApproxQuantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the target sample, 1-based; q=0 maps to the first sample.
-  double target = q * static_cast<double>(total_ - 1) + 1.0;
-  uint64_t seen = 0;
-  double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    double in_bucket = static_cast<double>(counts_[i]);
-    if (static_cast<double>(seen) + in_bucket >= target) {
-      double frac = (target - static_cast<double>(seen)) / in_bucket;
-      return BucketLow(i) + width * frac;
-    }
-    seen += counts_[i];
-  }
-  return hi_;
-}
-
-double Histogram::BucketLow(size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ToString(size_t max_bar_width) const {
-  uint64_t peak = 0;
-  for (uint64_t c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    size_t bar = peak == 0
-                     ? 0
-                     : static_cast<size_t>(static_cast<double>(counts_[i]) /
-                                           static_cast<double>(peak) *
-                                           static_cast<double>(max_bar_width));
-    out += StringPrintf("[%10.4f) %8llu |", BucketLow(i),
-                        static_cast<unsigned long long>(counts_[i]));
-    out += std::string(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace simrankpp

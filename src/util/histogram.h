@@ -1,11 +1,10 @@
-// Streaming summary statistics + fixed-bucket histogram, used by graph
-// statistics (degree / weight distributions) and bench reporting.
+// Streaming summary statistics with exact kept-sample quantiles, used by
+// bench reporting (loadgen latency percentiles). The one bucketed
+// histogram is HistogramMetric in util/metrics.h.
 #ifndef SIMRANKPP_UTIL_HISTOGRAM_H_
 #define SIMRANKPP_UTIL_HISTOGRAM_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace simrankpp {
@@ -41,43 +40,6 @@ class SummaryStats {
   double max_ = 0.0;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// \brief Fixed-width bucket histogram over [lo, hi); out-of-range values
-/// clamp to the edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double value);
-
-  size_t bucket_count() const { return counts_.size(); }
-  uint64_t bucket(size_t i) const { return counts_[i]; }
-  uint64_t total() const { return total_; }
-
-  /// \brief Sum of every added value (pre-clamp), so mean() stays exact
-  /// even when edge buckets absorbed out-of-range values.
-  double sum() const { return sum_; }
-  double mean() const;
-
-  /// \brief Approximate quantile in [0,1] by linear interpolation inside
-  /// the bucket holding the q-th sample. Resolution is one bucket width;
-  /// values clamped into the edge buckets bias toward [lo, hi). 0 when
-  /// empty.
-  double ApproxQuantile(double q) const;
-
-  /// \brief Lower bound of bucket i.
-  double BucketLow(size_t i) const;
-
-  /// \brief Renders an ASCII bar chart.
-  std::string ToString(size_t max_bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
-  double sum_ = 0.0;
 };
 
 }  // namespace simrankpp

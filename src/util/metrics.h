@@ -8,8 +8,8 @@
 ///      RMW on a cached handle — registration returns a stable pointer,
 ///      so serving code resolves its (family, labels) child once and
 ///      increments forever after without a lock or a map lookup.
-///   2. One source of truth. Everything a scraper, the STATS frame, or
-///      a bench report wants comes out of Snapshot(); surfaces render
+///   2. One source of truth. Everything a scraper, the metrics frame,
+///      or a bench report wants comes out of Snapshot(); surfaces render
 ///      from the snapshot instead of keeping parallel counters.
 ///   3. Objects that already own their counters (e.g. an immutable
 ///      RewriteService generation) are bridged with a Collector
@@ -160,6 +160,12 @@ struct MetricsSnapshot {
   /// \brief Find().value with a fallback for missing series.
   double Value(std::string_view name, const MetricLabels& labels = {},
                double fallback = 0.0) const;
+
+  /// \brief Sum of a counter/gauge family's values over every point
+  /// whose labels contain each (key, value) pair of `match`; an empty
+  /// `match` sums the whole family (e.g. srpp_requests_total with
+  /// {code="ok"} totals admissions across tenants). 0 when absent.
+  double Sum(std::string_view name, const MetricLabels& match = {}) const;
 };
 
 /// \brief Registry of metric families. Registration (Get*) takes a

@@ -28,6 +28,7 @@
 #include "serve/protocol.h"
 #include "synth/click_graph_generator.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace simrankpp {
 namespace {
@@ -159,6 +160,30 @@ std::vector<TopKItem> ExpectedItems(const ServeDaemon& daemon,
   return items;
 }
 
+// One registry read: sums `family` over the children whose labels
+// contain every pair in `match`.
+double RegistrySum(const ServeDaemon& daemon, std::string_view family,
+                   const MetricLabels& match = {}) {
+  return daemon.metrics_registry().Snapshot().Sum(family, match);
+}
+
+// The daemon records a request's trace on the I/O thread only after the
+// reply bytes head out, so a client can read the reply before the trace
+// lands. Waits (bounded) until the trace ring holds `count` traces; the
+// ring is the recorder's last write, so the stage histograms and the
+// slow-request counter are current once it fills.
+std::vector<RequestTrace> WaitForTraces(const ServeDaemon& daemon,
+                                        size_t count) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::vector<RequestTrace> traces = daemon.RecentTraces();
+  while (traces.size() < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    traces = daemon.RecentTraces();
+  }
+  return traces;
+}
+
 // ------------------------------------------------ protocol round-trips
 
 TEST(DaemonProtocolTest, FrameHeaderRoundTrips) {
@@ -274,7 +299,7 @@ TEST(ServeDaemonTest, UnknownQueryServesEmptyOk) {
   EXPECT_TRUE(reply->items.empty());
 }
 
-TEST(ServeDaemonTest, PingAndStats) {
+TEST(ServeDaemonTest, PingAndRetiredStatsCodeIsBadRequest) {
   auto daemon = StartDaemon(World().Options());
   Client client = ConnectTo(*daemon);
   ASSERT_TRUE(client.SendPing(5).ok());
@@ -283,21 +308,27 @@ TEST(ServeDaemonTest, PingAndStats) {
   EXPECT_EQ(pong->type, FrameType::kPingResponse);
   EXPECT_EQ(pong->request_id, 5u);
 
-  ASSERT_TRUE(client.TopK("alpha", World().graph_a.query_label(0), 5, 6).ok());
-  ASSERT_TRUE(client.SendStats(7).ok());
-  Result<Reply> stats = client.ReadReply();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->type, FrameType::kStatsResponse);
-  EXPECT_NE(stats->text.find("serve-daemon"), std::string::npos);
-  EXPECT_NE(stats->text.find("alpha"), std::string::npos);
-  EXPECT_NE(stats->text.find("beta"), std::string::npos);
-  EXPECT_NE(stats->text.find("latency_us"), std::string::npos);
-  EXPECT_NE(stats->text.find("queue_depth"), std::string::npos);
-  // Instantaneous queue state and cold-admission counters are always
-  // present, precomputed tenants included.
-  EXPECT_NE(stats->text.find("cold_admitted="), std::string::npos);
-  EXPECT_NE(stats->text.find("queue: depth="), std::string::npos);
-  EXPECT_NE(stats->text.find("bucket_fill="), std::string::npos);
+  // 0x02 is a reserved code (the retired text-stats request): it gets
+  // the unknown-frame-type reply, and framing survives it.
+  std::string frame;
+  AppendEmptyFrame(static_cast<FrameType>(0x02), WireCode::kOk, 7, &frame);
+  ASSERT_TRUE(client.SendBytes(frame).ok());
+  Result<Reply> error = client.ReadReply();
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->type, FrameType::kError);
+  EXPECT_EQ(error->code, WireCode::kBadRequest);
+  EXPECT_EQ(error->request_id, 7u);
+  EXPECT_NE(error->text.find("unknown frame type 0x02"), std::string::npos)
+      << error->text;
+
+  // The same connection then answers a TopK, bit-identical.
+  const std::string query = World().graph_a.query_label(0);
+  Result<Reply> reply = client.TopK("alpha", query, 5, 8);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->code, WireCode::kOk);
+  EXPECT_EQ(reply->request_id, 8u);
+  EXPECT_EQ(reply->items, ExpectedItems(*daemon, "alpha", query, 5));
+  EXPECT_EQ(RegistrySum(*daemon, "srpp_bad_requests_total"), 1.0);
 }
 
 TEST(ServeDaemonTest, OnDemandTenantAnswersColdQueriesOverTcp) {
@@ -328,24 +359,17 @@ TEST(ServeDaemonTest, OnDemandTenantAnswersColdQueriesOverTcp) {
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->items, cold->items);
 
-  ASSERT_TRUE(client.SendStats(23).ok());
-  Result<Reply> stats = client.ReadReply();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->text.find("on_demand=1"), std::string::npos)
-      << stats->text;
-  EXPECT_NE(stats->text.find("rows_computed=1"), std::string::npos)
-      << stats->text;
+  MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+  const MetricLabels lazy{{"tenant", "lazy"}};
+  EXPECT_EQ(snapshot.Sum("srpp_tenant_info",
+                         {{"tenant", "lazy"}, {"scoring", "on-demand"}}),
+            1.0);
+  EXPECT_EQ(snapshot.Value("srpp_rows_computed_total", lazy), 1.0);
   // Two cache hits: the ExpectedItems call and the warm wire request.
-  EXPECT_NE(stats->text.find("cache_hits=2"), std::string::npos)
-      << stats->text;
-  EXPECT_NE(stats->text.find("cache_misses=1"), std::string::npos)
-      << stats->text;
+  EXPECT_EQ(snapshot.Value("srpp_row_cache_hits_total", lazy), 2.0);
+  EXPECT_EQ(snapshot.Value("srpp_row_cache_misses_total", lazy), 1.0);
   // Only the first wire request found the row absent at admission time.
-  EXPECT_NE(stats->text.find("cold_admitted=1"), std::string::npos)
-      << stats->text;
-  // Default options leave the token bucket unlimited.
-  EXPECT_NE(stats->text.find("bucket_fill=-1.00"), std::string::npos)
-      << stats->text;
+  EXPECT_EQ(snapshot.Value("srpp_cold_requests_total", lazy), 1.0);
   std::remove(manifest.c_str());
 }
 
@@ -393,7 +417,9 @@ TEST(ServeDaemonTest, RateLimitReturnsDedicatedCode) {
   }
   EXPECT_EQ(codes[WireCode::kOk], 2);
   EXPECT_EQ(codes[WireCode::kRateLimited], 2);
-  EXPECT_EQ(daemon->Metrics().requests_rate_limited, 2u);
+  EXPECT_EQ(
+      RegistrySum(*daemon, "srpp_requests_total", {{"code", "rate_limited"}}),
+      2.0);
 }
 
 TEST(ServeDaemonTest, FullQueueShedsWithOverloaded) {
@@ -420,7 +446,8 @@ TEST(ServeDaemonTest, FullQueueShedsWithOverloaded) {
   EXPECT_EQ(codes[1], WireCode::kOk);
   EXPECT_EQ(codes[2], WireCode::kOk);
   EXPECT_EQ(codes[3], WireCode::kOverloaded);
-  EXPECT_EQ(daemon->Metrics().requests_shed, 1u);
+  EXPECT_EQ(RegistrySum(*daemon, "srpp_requests_total", {{"code", "shed"}}),
+            1.0);
 }
 
 TEST(ServeDaemonTest, ConcurrentRequestsCoalesceIntoBatches) {
@@ -444,9 +471,11 @@ TEST(ServeDaemonTest, ConcurrentRequestsCoalesceIntoBatches) {
     EXPECT_EQ(reply->code, WireCode::kOk);
     EXPECT_EQ(reply->items, expected);
   }
-  DaemonMetrics metrics = daemon->Metrics();
-  EXPECT_GE(metrics.max_batch_size, 2u);
-  EXPECT_LT(metrics.batches_executed, 5u);
+  // Five requests answered by fewer than five batch executions: at least
+  // one batch coalesced several requests.
+  MetricsSnapshot snapshot = daemon->metrics_registry().Snapshot();
+  EXPECT_EQ(snapshot.Sum("srpp_served_requests_total"), 5.0);
+  EXPECT_LT(snapshot.Sum("srpp_batches_total"), 5.0);
 }
 
 TEST(ServeDaemonTest, MixedKValuesInOneBatchAnswerPerRequest) {
@@ -511,7 +540,7 @@ TEST(ServeDaemonTest, OversizedFrameHeaderIsRejected) {
   ASSERT_TRUE(error.ok());
   EXPECT_EQ(error->code, WireCode::kBadFrame);
   EXPECT_FALSE(client.ReadReply().ok());  // connection dropped
-  EXPECT_EQ(daemon->Metrics().bad_frames, 1u);
+  EXPECT_EQ(RegistrySum(*daemon, "srpp_bad_frames_total"), 1.0);
 }
 
 TEST(ServeDaemonTest, MalformedPayloadKeepsConnectionAlive) {
@@ -537,7 +566,7 @@ TEST(ServeDaemonTest, MalformedPayloadKeepsConnectionAlive) {
       client.TopK("alpha", World().graph_a.query_label(6), 5, 22);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->code, WireCode::kOk);
-  EXPECT_EQ(daemon->Metrics().bad_requests, 1u);
+  EXPECT_EQ(RegistrySum(*daemon, "srpp_bad_requests_total"), 1.0);
 }
 
 TEST(ServeDaemonTest, TruncatedFrameThenRestIsOneRequest) {
@@ -711,6 +740,29 @@ TEST(ServeDaemonTest, MetricsFrameServesPrometheusText) {
   // The collector bridges per-generation serving stats into the scrape.
   EXPECT_NE(reply->text.find("srpp_tenant_queries_total{tenant=\"alpha\"}"),
             std::string::npos);
+  // Tenant identity names the side and the snapshot checksum (what an
+  // operator compares against the manifest's `checksum` key).
+  for (const char* name : {"alpha", "beta"}) {
+    std::shared_ptr<const Tenant> tenant = daemon->registry().Lookup(name);
+    ASSERT_NE(tenant, nullptr);
+    RewriteServiceStats stats = tenant->service->Stats();
+    std::string identity = StringPrintf(
+        "srpp_tenant_info{tenant=\"%s\",method=\"%s\",side=\"query-query\","
+        "scoring=\"precomputed\",generation=\"%llu\",checksum=\"%016llx\","
+        "reload=\"ok\"} 1\n",
+        name, stats.method_name.c_str(),
+        static_cast<unsigned long long>(tenant->generation),
+        static_cast<unsigned long long>(stats.snapshot_checksum));
+    EXPECT_NE(reply->text.find(identity), std::string::npos)
+        << identity << reply->text;
+  }
+  // Per-tenant admission families exist for precomputed tenants too.
+  for (const char* series :
+       {"srpp_tenant_latency_seconds_count{tenant=\"alpha\"} 1\n",
+        "srpp_queue_fill_ratio_count{tenant=\"alpha\"} 1\n",
+        "srpp_cold_requests_total{tenant=\"alpha\"} 0\n"}) {
+    EXPECT_NE(reply->text.find(series), std::string::npos) << series;
+  }
   // The frame and the in-process accessor render the same document shape.
   EXPECT_NE(daemon->MetricsText().find("# TYPE srpp_requests_total counter"),
             std::string::npos);
@@ -754,7 +806,7 @@ TEST(ServeDaemonTest, StageSpansTileTheRequestWallTime) {
   Client client = ConnectTo(*daemon);
   ASSERT_TRUE(client.TopK("alpha", World().graph_a.query_label(6), 5, 1).ok());
 
-  std::vector<RequestTrace> traces = daemon->RecentTraces();
+  std::vector<RequestTrace> traces = WaitForTraces(*daemon, 1);
   ASSERT_EQ(traces.size(), 1u);
   const RequestTrace& trace = traces[0];
   EXPECT_EQ(trace.tenant, "alpha");
@@ -794,10 +846,10 @@ TEST(ServeDaemonTest, SlowRequestsAreCountedAndKeptInRing) {
   auto daemon = StartDaemon(options);
   Client client = ConnectTo(*daemon);
   ASSERT_TRUE(client.TopK("alpha", World().graph_a.query_label(8), 5, 1).ok());
+  std::vector<RequestTrace> traces = WaitForTraces(*daemon, 1);
   EXPECT_EQ(
       daemon->metrics_registry().Snapshot().Value("srpp_slow_requests_total"),
       1.0);
-  std::vector<RequestTrace> traces = daemon->RecentTraces();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_NE(traces[0].Summary().find("tenant=alpha"), std::string::npos);
 
@@ -808,6 +860,7 @@ TEST(ServeDaemonTest, SlowRequestsAreCountedAndKeptInRing) {
   Client fast_client = ConnectTo(*fast);
   ASSERT_TRUE(
       fast_client.TopK("alpha", World().graph_a.query_label(8), 5, 1).ok());
+  ASSERT_EQ(WaitForTraces(*fast, 1).size(), 1u);
   EXPECT_EQ(
       fast->metrics_registry().Snapshot().Value("srpp_slow_requests_total"),
       0.0);

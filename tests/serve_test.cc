@@ -487,7 +487,8 @@ TEST(TenantRegistryTest, ServedCountsAccumulateAcrossGenerations) {
   std::vector<TenantServeStats> stats = registry.Stats();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].generation, 2u);
-  EXPECT_EQ(stats[0].queries_served, 3u);
+  ASSERT_TRUE(stats[0].service.has_value());
+  EXPECT_EQ(stats[0].service->queries_served, 3u);
 }
 
 TEST(TenantRegistryTest, ReloadFailureIsVisibleWithoutUnpublishing) {
@@ -498,7 +499,7 @@ TEST(TenantRegistryTest, ReloadFailureIsVisibleWithoutUnpublishing) {
 
   std::vector<TenantServeStats> stats = registry.Stats();
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].serving);
+  EXPECT_TRUE(stats[0].service.has_value());
   EXPECT_EQ(stats[0].generation, 1u);
   EXPECT_FALSE(stats[0].last_reload_ok);
   EXPECT_NE(stats[0].last_reload_message.find("checksum"),
@@ -510,7 +511,7 @@ TEST(TenantRegistryTest, ReloadFailureIsVisibleWithoutUnpublishing) {
   stats = registry.Stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].tenant, "ghost");
-  EXPECT_FALSE(stats[0].serving);
+  EXPECT_FALSE(stats[0].service.has_value());
   EXPECT_NE(stats[0].ToString().find("serving=no"), std::string::npos);
 }
 
@@ -592,10 +593,11 @@ TEST(SnapshotStoreTest, OnDemandTenantServesWithoutASnapshot) {
 
   std::vector<TenantServeStats> stats = registry.Stats();
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].on_demand);
-  EXPECT_EQ(stats[0].rows_computed, 1u);
-  EXPECT_EQ(stats[0].row_cache_misses, 1u);
-  EXPECT_EQ(stats[0].row_cache_hits, 1u);
+  ASSERT_TRUE(stats[0].service.has_value());
+  EXPECT_TRUE(stats[0].service->on_demand);
+  EXPECT_EQ(stats[0].service->rows_computed, 1u);
+  EXPECT_EQ(stats[0].service->row_cache_misses, 1u);
+  EXPECT_EQ(stats[0].service->row_cache_hits, 1u);
   EXPECT_NE(stats[0].ToString().find("on_demand=1"), std::string::npos)
       << stats[0].ToString();
 }
@@ -617,7 +619,7 @@ TEST(SnapshotStoreTest, LoadAllReportsPerTenantFailuresAndServesTheRest) {
   std::vector<TenantServeStats> stats = registry.Stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].tenant, "bad");
-  EXPECT_FALSE(stats[0].serving);
+  EXPECT_FALSE(stats[0].service.has_value());
   EXPECT_FALSE(stats[0].last_reload_ok);
 }
 
@@ -778,7 +780,7 @@ TEST(SnapshotStoreTest, CorruptReplacementKeepsOldGenerationServing) {
   // The failure is surfaced in ServeStats while serving continues.
   std::vector<TenantServeStats> stats = registry.Stats();
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_TRUE(stats[0].serving);
+  EXPECT_TRUE(stats[0].service.has_value());
   EXPECT_FALSE(stats[0].last_reload_ok);
   EXPECT_FALSE(stats[0].last_reload_message.empty());
 

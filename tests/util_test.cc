@@ -550,57 +550,6 @@ TEST(SummaryStatsTest, QuantilesWithKeptSamples) {
   EXPECT_NEAR(stats.Quantile(0.5), 50.5, 1e-9);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram hist(0.0, 10.0, 10);
-  hist.Add(0.5);
-  hist.Add(9.5);
-  hist.Add(-100.0);  // clamps to first bucket
-  hist.Add(100.0);   // clamps to last bucket
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_EQ(hist.bucket(0), 2u);
-  EXPECT_EQ(hist.bucket(9), 2u);
-  EXPECT_DOUBLE_EQ(hist.BucketLow(5), 5.0);
-}
-
-TEST(HistogramTest, SumAndMeanStayExactDespiteClamping) {
-  Histogram hist(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(hist.sum(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.mean(), 0.0);  // empty => 0, not NaN
-  hist.Add(2.0);
-  hist.Add(4.0);
-  hist.Add(-6.0);   // clamps into bucket 0 but sum keeps the raw value
-  hist.Add(1000.0);  // clamps into the last bucket likewise
-  EXPECT_DOUBLE_EQ(hist.sum(), 1000.0);
-  EXPECT_DOUBLE_EQ(hist.mean(), 250.0);
-}
-
-TEST(HistogramTest, ApproxQuantileTracksUniformData) {
-  Histogram hist(0.0, 100.0, 100);
-  EXPECT_DOUBLE_EQ(hist.ApproxQuantile(0.5), 0.0);  // empty => 0
-  for (int i = 0; i < 1000; ++i) hist.Add(i / 10.0);
-  // Bucket resolution is 1.0, so the estimate lands within one bucket of
-  // the exact order statistic.
-  EXPECT_NEAR(hist.ApproxQuantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(hist.ApproxQuantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(hist.ApproxQuantile(0.9), 90.0, 1.0);
-  EXPECT_NEAR(hist.ApproxQuantile(1.0), 100.0, 1.0);
-  // Quantiles are monotone in q.
-  double last = hist.ApproxQuantile(0.0);
-  for (double q = 0.1; q <= 1.0; q += 0.1) {
-    double current = hist.ApproxQuantile(q);
-    EXPECT_GE(current, last);
-    last = current;
-  }
-}
-
-TEST(HistogramTest, ApproxQuantileSingleBucketInterpolates) {
-  Histogram hist(0.0, 10.0, 1);
-  for (int i = 0; i < 10; ++i) hist.Add(5.0);
-  double p50 = hist.ApproxQuantile(0.5);
-  EXPECT_GE(p50, 0.0);
-  EXPECT_LE(p50, 10.0);
-}
-
 // --------------------------------------------------------------- Stopwatch
 
 TEST(StopwatchTest, MonotoneNonNegative) {
