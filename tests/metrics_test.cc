@@ -135,6 +135,36 @@ TEST(MetricsRegistryTest, CollectorContributesAtSnapshotTime) {
   EXPECT_EQ(snapshot.families[1].name, "srpp_tenant_queries_total");
 }
 
+TEST(MetricsSnapshotTest, SumTotalsFamilyOverLabelSubset) {
+  MetricsRegistry registry;
+  const char* name = "srpp_requests_total";
+  registry.GetCounter(name, "Requests.", {{"tenant", "a"}, {"code", "ok"}})
+      ->Increment(5);
+  registry.GetCounter(name, "Requests.", {{"tenant", "a"}, {"code", "shed"}})
+      ->Increment(2);
+  registry.GetCounter(name, "Requests.", {{"tenant", "b"}, {"code", "ok"}})
+      ->Increment(3);
+  registry.GetCounter("srpp_frames_total", "Frames.")->Increment(100);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  // An empty match totals the whole family and nothing outside it.
+  EXPECT_EQ(snapshot.Sum(name), 10.0);
+  EXPECT_EQ(snapshot.Sum(name, {{"code", "ok"}}), 8.0);
+  EXPECT_EQ(snapshot.Sum(name, {{"tenant", "a"}}), 7.0);
+  // Every label in the match must be present; order does not matter.
+  EXPECT_EQ(snapshot.Sum(name, {{"code", "ok"}, {"tenant", "b"}}), 3.0);
+}
+
+TEST(MetricsSnapshotTest, SumIsZeroForUnknownFamilyOrUnmatchedLabels) {
+  MetricsRegistry registry;
+  registry.GetCounter("srpp_requests_total", "Requests.", {{"code", "ok"}})
+      ->Increment(4);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(snapshot.Sum("srpp_missing_total"), 0.0);
+  EXPECT_EQ(snapshot.Sum("srpp_requests_total", {{"code", "shed"}}), 0.0);
+  EXPECT_EQ(snapshot.Sum("srpp_requests_total", {{"tenant", "a"}}), 0.0);
+  EXPECT_EQ(MetricsSnapshot{}.Sum("srpp_requests_total"), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -170,6 +200,24 @@ TEST(HistogramTest, ApproxQuantileInterpolatesWithinBucket) {
   EXPECT_LE(snapshot.ApproxQuantile(0.1), snapshot.ApproxQuantile(0.9));
   // Empty histogram: every quantile is 0.
   EXPECT_EQ(HistogramSnapshot{}.ApproxQuantile(0.5), 0.0);
+}
+
+TEST(HistogramTest, OutOfRangeObservationsKeepExactSum) {
+  MetricsRegistry registry;
+  HistogramMetric* h =
+      registry.GetHistogram("srpp_wait_seconds", "Wait.", {1.0, 2.0, 4.0});
+  EXPECT_EQ(h->Snapshot().mean(), 0.0);  // empty => 0, not NaN
+  h->Observe(-6.0);    // below every bound: first bucket
+  h->Observe(2.0);
+  h->Observe(4.0);
+  h->Observe(1000.0);  // above every bound: +Inf bucket
+  HistogramSnapshot snapshot = h->Snapshot();
+  EXPECT_EQ(snapshot.counts, (std::vector<uint64_t>{1, 1, 1, 1}));
+  // The buckets bound where a value lands, not what it adds to the sum.
+  EXPECT_DOUBLE_EQ(snapshot.sum, 1000.0);
+  EXPECT_DOUBLE_EQ(snapshot.mean(), 250.0);
+  // A quantile that falls in the +Inf bucket reports the last bound.
+  EXPECT_EQ(snapshot.ApproxQuantile(1.0), 4.0);
 }
 
 TEST(HistogramTest, BucketFactories) {

@@ -515,6 +515,27 @@ TEST(TenantRegistryTest, ReloadFailureIsVisibleWithoutUnpublishing) {
   EXPECT_NE(stats[0].ToString().find("serving=no"), std::string::npos);
 }
 
+TEST(TenantRegistryTest, StatsLinePrefixesTheServiceStatsLine) {
+  TenantRegistry registry;
+  registry.Upsert(MakeStubTenant("t", 3));
+  registry.Lookup("t")->service->TopK(QueryId{0}, 3);
+
+  std::vector<TenantServeStats> stats = registry.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  ASSERT_TRUE(stats[0].service.has_value());
+  EXPECT_EQ(stats[0].ToString(),
+            "tenant=t gen=3 reload=ok " + stats[0].service->ToString());
+
+  registry.RecordReloadFailure("t", Status::IOError("no file"));
+  stats = registry.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  ASSERT_TRUE(stats[0].service.has_value());
+  EXPECT_EQ(stats[0].ToString(),
+            "tenant=t gen=3 reload=FAILED last_error=\"" +
+                stats[0].last_reload_message + "\" " +
+                stats[0].service->ToString());
+}
+
 // ------------------------------------------------- store: load and serve
 
 TEST(SnapshotStoreTest, LoadAllServesQueryAndAdTenants) {
