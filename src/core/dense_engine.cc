@@ -48,18 +48,11 @@ Status DenseSimRankEngine::Run(const BipartiteGraph& graph) {
 
   stats_ = SimRankStats();
   stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
-  size_t threads = ResolveThreadCount(options_.num_threads);
-  // Borrow the process-wide pool for the whole run, capped at `threads`
+  // Every row pass runs on the process-wide pool, capped at num_threads
   // participants: spawning threads per Run would cost more than the row
   // updates themselves on small graphs, and a service computing several
-  // engines concurrently keeps one fixed set of workers. threads_used
-  // reports what can actually participate: the caller plus at most the
-  // pool's workers, never more than the request. The pool is claimed
-  // before the evidence precomputation so that sweep parallelizes too.
-  max_participants_ = threads;
-  pool_ = threads > 1 ? &SharedThreadPool() : nullptr;
-  stats_.threads_used =
-      pool_ == nullptr ? 1 : std::min(threads, pool_->num_threads() + 1);
+  // engines concurrently keeps one fixed set of workers.
+  stats_.threads_used = SharedThreadPool().Participants(options_.num_threads);
 
   if (options_.variant != SimRankVariant::kSimRank) {
     ComputeEvidenceMatrices(graph);
@@ -103,7 +96,6 @@ Status DenseSimRankEngine::Run(const BipartiteGraph& graph) {
       break;
     }
   }
-  pool_ = nullptr;
 
   size_t query_pairs = 0;
   for (size_t count : row_pairs_q) query_pairs += count;
@@ -166,17 +158,11 @@ void DenseSimRankEngine::ComputeEvidenceMatrices(const BipartiteGraph& graph) {
     }
   };
 
-  if (pool_ == nullptr) {
-    count_query_rows(0, nq_);
-    count_ad_rows(0, na_);
-    evidence_query_rows(0, nq_);
-    evidence_ad_rows(0, na_);
-  } else {
-    pool_->ParallelFor(nq_, count_query_rows, max_participants_);
-    pool_->ParallelFor(na_, count_ad_rows, max_participants_);
-    pool_->ParallelFor(nq_, evidence_query_rows, max_participants_);
-    pool_->ParallelFor(na_, evidence_ad_rows, max_participants_);
-  }
+  ThreadPool& pool = SharedThreadPool();
+  pool.ParallelFor(nq_, count_query_rows, options_.num_threads);
+  pool.ParallelFor(na_, count_ad_rows, options_.num_threads);
+  pool.ParallelFor(nq_, evidence_query_rows, options_.num_threads);
+  pool.ParallelFor(na_, evidence_ad_rows, options_.num_threads);
 }
 
 double DenseSimRankEngine::IterateOnce(const BipartiteGraph& graph,
@@ -317,17 +303,11 @@ double DenseSimRankEngine::IterateOnce(const BipartiteGraph& graph,
 
   // Each task writes disjoint rows of its output and the per-row delta
   // and nonzero-count slots, so any chunking yields bit-identical results.
-  if (pool_ == nullptr) {
-    compute_t_rows(0, nq_);
-    compute_u_rows(0, na_);
-    compute_query_rows(0, nq_);
-    compute_ad_rows(0, na_);
-  } else {
-    pool_->ParallelFor(nq_, compute_t_rows, max_participants_);
-    pool_->ParallelFor(na_, compute_u_rows, max_participants_);
-    pool_->ParallelFor(nq_, compute_query_rows, max_participants_);
-    pool_->ParallelFor(na_, compute_ad_rows, max_participants_);
-  }
+  ThreadPool& pool = SharedThreadPool();
+  pool.ParallelFor(nq_, compute_t_rows, options_.num_threads);
+  pool.ParallelFor(na_, compute_u_rows, options_.num_threads);
+  pool.ParallelFor(nq_, compute_query_rows, options_.num_threads);
+  pool.ParallelFor(na_, compute_ad_rows, options_.num_threads);
 
   query_scores_ = std::move(new_query);
   ad_scores_ = std::move(new_ad);

@@ -34,8 +34,6 @@
 
 namespace simrankpp {
 
-class ThreadPool;
-
 /// \brief Linearized SimRank engine (plain and evidence-based variants;
 /// weighted SimRank's in-recursion evidence does not linearize and is
 /// rejected by Prepare/Run).
@@ -214,11 +212,6 @@ class LinearizedSimRankEngine : public SimRankEngine, public OnDemandScorer {
   SimRankStats stats_;
   const BipartiteGraph* graph_ = nullptr;
   bool prepared_ = false;
-
-  // Shared pool, borrowed for Prepare/Run with at most max_participants_
-  // threads; null when running single-threaded.
-  ThreadPool* pool_ = nullptr;
-  size_t max_participants_ = 0;
 
   SideAdjacency query_adj_;  // query -> ads
   SideAdjacency ad_adj_;     // ad -> queries

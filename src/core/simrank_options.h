@@ -99,7 +99,7 @@ struct SimRankOptions {
   /// Worker threads for the iteration loops (0 = hardware concurrency,
   /// 1 = single-threaded). Engines borrow the process-wide shared pool
   /// (SharedThreadPool) capped at this many participating threads rather
-  /// than constructing their own. Both engines shard work
+  /// than constructing their own. The engines shard work
   /// deterministically — the partition never depends on the thread count
   /// and per-shard results are merged in a fixed order — so exported
   /// scores are bit-identical for every value of this knob.
@@ -117,10 +117,11 @@ struct SimRankStats {
   /// Stored query-query / ad-ad pairs after pruning.
   size_t query_pairs = 0;
   size_t ad_pairs = 0;
-  /// Threads that actually participated in the run: the resolved
-  /// num_threads request, clamped to the shared pool's workers plus the
-  /// calling thread (requests beyond hardware concurrency cannot
-  /// oversubscribe the shared pool).
+  /// Threads that may participate in the run's batches, as
+  /// ThreadPool::Participants reports it: the resolved num_threads
+  /// request, clamped to the shared pool's workers plus the calling
+  /// thread (requests beyond hardware concurrency cannot oversubscribe
+  /// the shared pool).
   size_t threads_used = 0;
   /// Sparse engine, cumulative over all iterations: candidate pairs whose
   /// score was actually recomputed vs. carried over unchanged by the

@@ -102,15 +102,6 @@ class RewriteService {
   /// carried through.
   Status SaveSnapshot(const std::string& path) const;
 
-  /// \brief Builds a fresh service from a replacement snapshot file,
-  /// reusing this service's graph, bid database, pipeline options, and
-  /// side — the cheap half of a hot reload (no graph/bid re-parse; only
-  /// the snapshot is read and validated). Fails, leaving this service
-  /// untouched, when the file is corrupt, covers a different node count,
-  /// or carries the wrong side tag.
-  Result<std::unique_ptr<RewriteService>> RebuildFromSnapshot(
-      const std::string& path) const;
-
   /// \brief Which node set this service rewrites over.
   SnapshotSide side() const { return rewriter_.side(); }
 

@@ -68,7 +68,6 @@ class QueryRewriter {
   const SimilarityMatrix& similarities() const { return similarities_; }
   const RewritePipelineOptions& pipeline_options() const { return options_; }
   SnapshotSide side() const { return side_; }
-  const BidDatabase* bids() const { return bids_; }
 
   /// \brief Number of nodes on the serving side (queries or ads).
   size_t num_nodes() const;

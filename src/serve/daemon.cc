@@ -1216,10 +1216,8 @@ std::set<std::string> ServeDaemon::Impl::WatchDirectories() const {
 }
 
 void ServeDaemon::Impl::WatchLoop() {
-  int inotify_fd = -1;
-  if (options_.use_inotify) {
-    inotify_fd = inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
-  }
+  // -1 when inotify is unavailable: the timed poll is then the trigger.
+  int inotify_fd = inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
   std::vector<int> watches;
   auto refresh_watches = [&] {
     if (inotify_fd < 0) return;

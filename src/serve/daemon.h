@@ -70,10 +70,9 @@ struct DaemonOptions {
   double tenant_burst = 64.0;
   /// Run the hot-reload watcher thread.
   bool enable_watcher = true;
-  /// Prefer inotify wakeups; mtime polling is used when false or when
-  /// inotify is unavailable. Either way PollForChanges does the diffing.
-  bool use_inotify = true;
-  /// Fallback poll cadence (and inotify debounce backstop), seconds.
+  /// The watcher wakes on inotify events and falls back to mtime polling
+  /// when inotify is unavailable; either way PollForChanges does the
+  /// diffing. Fallback poll cadence (and inotify backstop), seconds.
   double watch_poll_seconds = 0.5;
   /// Test hook: sleep this long inside each micro-batch execution, so
   /// coalescing/shedding/drain windows are deterministic in tests.

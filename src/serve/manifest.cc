@@ -1,6 +1,5 @@
 #include "serve/manifest.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -32,31 +31,6 @@ KeyValue SplitKeyValue(std::string_view line) {
 Status LineError(size_t line_number, const std::string& message) {
   return Status::InvalidArgument(
       StringPrintf("manifest line %zu: %s", line_number, message.c_str()));
-}
-
-// Strict numeric parsers: the whole value must consume, and only the
-// characters the format documents are accepted (strtoull would happily
-// wrap "-1" into a huge unsigned value).
-bool ParseSize(const std::string& value, size_t* out) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
-  *out = static_cast<size_t>(parsed);
-  return true;
-}
-
-bool ParseDouble(const std::string& value, double* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  double parsed = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
 }
 
 bool ParseHex64(const std::string& value, uint64_t* out) {

@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace simrankpp {
 
@@ -54,6 +56,28 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
+}
+
+bool ParseSize(const std::string& value, size_t* out) {
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
+  *out = static_cast<size_t>(parsed);
+  return true;
+}
+
+bool ParseDouble(const std::string& value, double* out) {
+  if (value.empty()) return false;
+  char* end = nullptr;
+  double parsed = std::strtod(value.c_str(), &end);
+  if (end == nullptr || *end != '\0') return false;
+  *out = parsed;
+  return true;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

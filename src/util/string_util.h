@@ -29,6 +29,15 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// \brief True when `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+/// \brief Strict decimal parse of a size: the whole of `value` must be
+/// ASCII digits that fit a size_t. Unlike strtoull, "-1", "", "12x" and
+/// out-of-range values are rejected instead of wrapped or truncated.
+bool ParseSize(const std::string& value, size_t* out);
+
+/// \brief Strict floating-point parse: the whole of `value` must consume
+/// ("", "abc" and "1.5s" are rejected instead of reading as 0 or 1.5).
+bool ParseDouble(const std::string& value, double* out);
+
 /// \brief printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -34,17 +34,16 @@ void ThreadPool::Submit(std::function<void()> task) {
   task_available_.NotifyOne();
 }
 
-void ThreadPool::WaitIdle() {
-  MutexLock lock(&mu_);
-  while (!(queue_.empty() && active_ == 0)) all_idle_.Wait(mu_);
+size_t ThreadPool::Participants(size_t num_threads) const {
+  return std::min(ResolveThreadCount(num_threads), threads_.size() + 1);
 }
 
 namespace {
 
-// The one chunk-partition definition shared by the pooled and serial
-// drivers: clamps the requested chunk count, sizes chunks evenly, and
-// re-derives the count so no trailing chunk is empty (e.g. count=5,
-// num_chunks=4 gives chunk_size=2 and only 3 nonempty chunks).
+// The one chunk-partition definition: clamps the requested chunk count,
+// sizes chunks evenly, and re-derives the count so no trailing chunk is
+// empty (e.g. count=5, num_chunks=4 gives chunk_size=2 and only 3
+// nonempty chunks).
 struct ChunkPartition {
   size_t chunk_size = 0;
   size_t num_chunks = 0;
@@ -60,18 +59,6 @@ ChunkPartition MakePartition(size_t count, size_t requested_chunks) {
 }
 
 }  // namespace
-
-void ThreadPool::SerialForChunked(
-    size_t count, size_t num_chunks,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (count == 0) return;
-  ChunkPartition partition = MakePartition(count, num_chunks);
-  for (size_t chunk = 0; chunk < partition.num_chunks; ++chunk) {
-    size_t begin = chunk * partition.chunk_size;
-    size_t end = std::min(begin + partition.chunk_size, count);
-    fn(chunk, begin, end);
-  }
-}
 
 bool ThreadPool::RunOneChunk(Batch& batch) {
   size_t index = batch.next.fetch_add(1, std::memory_order_relaxed);
@@ -89,7 +76,7 @@ bool ThreadPool::RunOneChunk(Batch& batch) {
 void ThreadPool::ParallelForChunked(
     size_t count, size_t num_chunks,
     const std::function<void(size_t, size_t, size_t)>& fn,
-    size_t max_participants) {
+    size_t num_threads) {
   if (count == 0) return;
   ChunkPartition partition = MakePartition(count, num_chunks);
 
@@ -99,15 +86,14 @@ void ThreadPool::ParallelForChunked(
   batch->chunk_size = partition.chunk_size;
   batch->num_chunks = partition.num_chunks;
 
-  // One helper task per worker that could usefully participate; each runs
-  // chunks until the batch is drained. A helper that gets popped after the
-  // last chunk was claimed exits immediately. The submitting thread is a
-  // participant too, so a cap of N admits at most N-1 helpers (cap 1 runs
-  // the whole batch on the caller).
-  size_t helpers = std::min(partition.num_chunks, threads_.size());
-  if (max_participants > 0) {
-    helpers = std::min(helpers, max_participants - 1);
-  }
+  // One helper task per other thread that could usefully participate;
+  // each runs chunks until the batch is drained. A helper that gets popped
+  // after the last chunk was claimed exits immediately. The submitting
+  // thread is a participant too, so N participants or N chunks admit at
+  // most N-1 helpers: a cap of 1 or a one-chunk batch runs on the caller
+  // and wakes no worker.
+  size_t helpers =
+      std::min(partition.num_chunks, Participants(num_threads)) - 1;
   for (size_t i = 0; i < helpers; ++i) {
     Submit([batch] {
       while (RunOneChunk(*batch)) {
@@ -126,16 +112,15 @@ void ThreadPool::ParallelForChunked(
 
 void ThreadPool::ParallelFor(size_t count,
                              const std::function<void(size_t, size_t)>& fn,
-                             size_t max_participants) {
+                             size_t num_threads) {
   if (count == 0) return;
   std::function<void(size_t, size_t, size_t)> chunk_fn =
       [&fn](size_t, size_t begin, size_t end) { fn(begin, end); };
-  // Chunk by the number of threads that can actually participate (the
-  // caller counts as one), so a capped batch on a wide shared pool does
-  // not pay per-chunk dispatch for parallelism it is not allowed to use.
-  size_t width = threads_.size() + 1;
-  if (max_participants > 0) width = std::min(width, max_participants);
-  ParallelForChunked(count, width * 4, chunk_fn, max_participants);
+  // Chunk by the number of threads that can actually participate, so a
+  // capped batch on a wide shared pool does not pay per-chunk dispatch
+  // for parallelism it is not allowed to use.
+  ParallelForChunked(count, Participants(num_threads) * 4, chunk_fn,
+                     num_threads);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -147,22 +132,16 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop();
-      ++active_;
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) all_idle_.NotifyAll();
-    }
   }
 }
 
 ThreadPool& SharedThreadPool() {
   // Constructed on first use, torn down at exit (the destructor drains the
   // queue and joins the workers). Sized to hardware concurrency; callers
-  // that need less parallelism pass a max_participants cap instead of
-  // building a narrower pool.
+  // that need less parallelism pass their num_threads instead of building
+  // a narrower pool.
   static ThreadPool pool(0);
   return pool;
 }

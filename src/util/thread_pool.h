@@ -1,5 +1,6 @@
 // Fixed-size worker pool used to parallelize per-node similarity updates in
-// the SimRank engines. Deliberately minimal: submit closures, wait for all.
+// the SimRank engines. Deliberately minimal: submit closures, or run a
+// chunked batch and wait for its chunks.
 #ifndef SIMRANKPP_UTIL_THREAD_POOL_H_
 #define SIMRANKPP_UTIL_THREAD_POOL_H_
 
@@ -43,47 +44,39 @@ class ThreadPool {
   /// \brief Enqueues a task.
   void Submit(std::function<void()> task);
 
-  /// \brief Blocks until the queue is empty and all workers are idle.
-  ///
-  /// Global-quiescence barrier for `Submit`-style use from a single
-  /// coordinating thread. Must not be called from inside a pool task, and
-  /// says nothing about which batch finished when several threads submit
-  /// concurrently — the ParallelFor family with its per-batch latch is the
-  /// right tool there.
-  void WaitIdle();
+  /// \brief How many threads, the caller included, work on a batch that
+  /// was asked for `num_threads`: the request resolved as in
+  /// ResolveThreadCount (0 selects hardware concurrency), clamped to this
+  /// pool's workers plus the caller. The ParallelFor family caps its
+  /// helpers with it, and the engines report it as `threads_used`.
+  size_t Participants(size_t num_threads) const;
 
   /// \brief Partitions [0, count) into roughly even chunks and runs
   /// `fn(begin, end)` on the pool, blocking until all chunks finish.
   /// Safe to call concurrently from several threads and from inside a
   /// pool task (the submitting thread runs chunks while it waits).
   ///
-  /// `max_participants` caps how many threads (including the caller) work
-  /// on this batch; 0 means no cap. It lets callers that were asked for a
-  /// specific parallelism (SimRankOptions::num_threads) borrow a wider
-  /// shared pool without exceeding their budget.
+  /// At most `Participants(num_threads)` threads work on the batch. It
+  /// lets callers that were asked for a specific parallelism
+  /// (SimRankOptions::num_threads) borrow a wider shared pool without
+  /// exceeding their budget.
   void ParallelFor(size_t count, const std::function<void(size_t, size_t)>& fn,
-                   size_t max_participants = 0);
+                   size_t num_threads = 0);
 
   /// \brief Like ParallelFor but with a caller-chosen chunk count:
   /// runs `fn(chunk_index, begin, end)` for each of the `num_chunks`
   /// contiguous chunks of [0, count). Because the partition depends only
-  /// on (count, num_chunks) — never on the pool size or on
-  /// `max_participants` — callers can shard work into per-chunk buffers
-  /// and merge them in chunk order for results that are identical for any
-  /// thread count.
+  /// on (count, num_chunks) — never on the pool size or on `num_threads`
+  /// — callers can shard work into per-chunk buffers and merge them in
+  /// chunk order for results that are identical for any thread count.
+  ///
+  /// The caller is always a participant, so a batch with one chunk or
+  /// one participant runs every chunk on the calling thread and submits
+  /// nothing to the queue.
   void ParallelForChunked(
       size_t count, size_t num_chunks,
       const std::function<void(size_t, size_t, size_t)>& fn,
-      size_t max_participants = 0);
-
-  /// \brief Runs the exact chunk partition of ParallelForChunked serially
-  /// on the calling thread, no pool involved. Single-threaded code paths
-  /// that must match a pooled ParallelForChunked bit-for-bit (the sparse
-  /// engine's sharded reduction) use this so both paths share one
-  /// partition definition.
-  static void SerialForChunked(
-      size_t count, size_t num_chunks,
-      const std::function<void(size_t, size_t, size_t)>& fn);
+      size_t num_threads = 0);
 
   size_t num_threads() const { return threads_.size(); }
 
@@ -114,19 +107,17 @@ class ThreadPool {
   Mutex mu_;
   std::queue<std::function<void()>> queue_ SRPP_GUARDED_BY(mu_);
   CondVar task_available_;
-  CondVar all_idle_;
-  size_t active_ SRPP_GUARDED_BY(mu_) = 0;
   bool shutdown_ SRPP_GUARDED_BY(mu_) = false;
 };
 
 /// \brief The process-wide shared pool, sized to hardware concurrency and
-/// constructed on first use. Engines and the serving layer borrow this
-/// pool (with a `max_participants` cap where a caller was asked for a
-/// specific `num_threads`) instead of constructing one per Run, so a
-/// service computing several engines and answering batched lookups at the
-/// same time keeps one fixed set of worker threads. Safe to use from any
-/// thread; the per-batch latches in ParallelFor* keep concurrent callers
-/// from observing each other.
+/// constructed on first use. Engines, the snapshot writer and the serving
+/// layer borrow this pool (passing the `num_threads` a caller was asked
+/// for) instead of constructing one per Run, so a service computing
+/// several engines and answering batched lookups at the same time keeps
+/// one fixed set of worker threads. Safe to use from any thread; the
+/// per-batch latches in ParallelFor* keep concurrent callers from
+/// observing each other.
 ThreadPool& SharedThreadPool();
 
 }  // namespace simrankpp

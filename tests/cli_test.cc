@@ -75,6 +75,51 @@ TEST(CliArgsTest, ManifestInfoOnMissingFileIsRuntimeError) {
   EXPECT_EQ(RunCliWith({"manifest-info", TempPath("no_manifest.txt")}), 1);
 }
 
+// serve-daemon checks every numeric flag before it loads the manifest.
+// With a missing manifest a valid value ends in the manifest error (exit
+// 1) and a bad one in a usage error (exit 2), so each case shows the
+// value was rejected rather than wrapped or read as 0.
+int ServeDaemonWith(std::vector<std::string> flags) {
+  std::vector<std::string> args = {"serve-daemon", "--manifest",
+                                   TempPath("no_daemon_manifest.txt")};
+  args.insert(args.end(), flags.begin(), flags.end());
+  return RunCliWith(args);
+}
+
+TEST(CliArgsTest, ServeDaemonValidFlagsReachTheManifestError) {
+  EXPECT_EQ(ServeDaemonWith({}), 1);
+  EXPECT_EQ(ServeDaemonWith({"--port", "65535", "--metrics-port", "-1",
+                             "--max-queue", "1", "--cold-row-cost", "1",
+                             "--qps", "0", "--burst", "1", "--poll-interval",
+                             "0.01", "--slow-request-ms", "0"}),
+            1);
+}
+
+TEST(CliArgsTest, ServeDaemonRejectsOutOfRangePorts) {
+  EXPECT_EQ(ServeDaemonWith({"--port", "70000"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--port", "-1"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--port", "80x"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--metrics-port", "70000"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--metrics-port", "-2"}), 2);
+}
+
+TEST(CliArgsTest, ServeDaemonRejectsEmptyQueueAndBucketBounds) {
+  EXPECT_EQ(ServeDaemonWith({"--max-queue", "0"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--max-queue", "-5"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--cold-row-cost", "0"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--qps", "-1"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--qps", "fast"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--burst", "0.5"}), 2);
+}
+
+TEST(CliArgsTest, ServeDaemonRejectsBadDurations) {
+  EXPECT_EQ(ServeDaemonWith({"--poll-interval", "abc"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--poll-interval", "0"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--poll-interval", "1s"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--slow-request-ms", "-1"}), 2);
+  EXPECT_EQ(ServeDaemonWith({"--slow-request-ms", "inf"}), 2);
+}
+
 TEST(CliArgsTest, MissingGraphFileIsRuntimeError) {
   EXPECT_EQ(RunCliWith({"stats", TempPath("no_such_graph.tsv")}), 1);
 }

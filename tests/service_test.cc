@@ -344,56 +344,6 @@ TEST(RewriteServiceTest, AdSideSnapshotRoundTripsThroughTheSideTag) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------- rebuild-from-snapshot
-
-TEST(RewriteServiceTest, RebuildFromSnapshotSwapsScoresKeepingConfig) {
-  BipartiteGraph graph = SeededGraph();
-  std::string path_a = TempPath("service_rebuild_a.snap");
-  std::string path_b = TempPath("service_rebuild_b.snap");
-
-  RewritePipelineOptions pipeline = NoBidPipeline();
-  pipeline.max_rewrites = 3;
-  auto service_a = RewriteServiceBuilder()
-                       .WithGraph(&graph)
-                       .WithEngine("sparse", ServiceEngineOptions())
-                       .WithPipelineOptions(pipeline)
-                       .Build();
-  ASSERT_TRUE(service_a.ok());
-  ASSERT_TRUE((*service_a)->SaveSnapshot(path_a).ok());
-
-  SimRankOptions other = ServiceEngineOptions();
-  other.variant = SimRankVariant::kSimRank;
-  other.iterations = 3;
-  auto service_b = RewriteServiceBuilder()
-                       .WithGraph(&graph)
-                       .WithEngine("sparse", other)
-                       .WithPipelineOptions(pipeline)
-                       .Build();
-  ASSERT_TRUE(service_b.ok());
-  ASSERT_TRUE((*service_b)->SaveSnapshot(path_b).ok());
-
-  // Rebuild a's service onto b's snapshot: scores come from b, pipeline
-  // and graph stay a's.
-  auto rebuilt = (*service_a)->RebuildFromSnapshot(path_b);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  EXPECT_EQ((*rebuilt)->Stats().source, "snapshot");
-  EXPECT_EQ((*rebuilt)->Stats().method_name, "Simrank");
-  EXPECT_EQ((*rebuilt)->rewriter().pipeline_options().max_rewrites, 3u);
-  for (QueryId q = 0; q < graph.num_queries(); q += 11) {
-    EXPECT_EQ((*rebuilt)->TopK(q, 5), (*service_b)->TopK(q, 5))
-        << "query " << q;
-  }
-
-  // A corrupt replacement fails and leaves the original fully usable.
-  auto before = (*service_a)->TopK(QueryId{0}, 3);
-  std::ofstream(path_b, std::ios::binary | std::ios::trunc) << "garbage";
-  auto failed = (*service_a)->RebuildFromSnapshot(path_b);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ((*service_a)->TopK(QueryId{0}, 3), before);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-}
-
 // -------------------------------------------------- open engine registry
 
 // A stub engine defined entirely inside this test binary: registering and

@@ -1,6 +1,6 @@
-// Determinism of the parallel iteration paths: both engines must produce
-// bit-identical exported scores for every num_threads setting, because
-// work is sharded by a partition that never depends on the thread count
+// Determinism of the parallel iteration paths: all three engines must
+// produce bit-identical exported scores for every num_threads setting,
+// because work is sharded by a partition that never depends on the thread count
 // and per-shard results merge in a fixed order (no atomics on scores).
 // The sparse engine's flat structures (two-hop candidate index, shard-
 // concatenated PairStore, delta-driven rescoring state) are all covered
@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "core/dense_engine.h"
+#include "core/linearized_engine.h"
 #include "core/sparse_engine.h"
 #include "synth/click_graph_generator.h"
 #include "util/logging.h"
@@ -97,6 +98,16 @@ TEST(ThreadingTest, SparseEvidenceBitIdenticalAcrossThreadCounts) {
 
 TEST(ThreadingTest, SparseWeightedBitIdenticalAcrossThreadCounts) {
   CheckThreadCountInvariance<SparseSimRankEngine>(SimRankVariant::kWeighted);
+}
+
+TEST(ThreadingTest, LinearizedSimRankBitIdenticalAcrossThreadCounts) {
+  CheckThreadCountInvariance<LinearizedSimRankEngine>(
+      SimRankVariant::kSimRank);
+}
+
+TEST(ThreadingTest, LinearizedEvidenceBitIdenticalAcrossThreadCounts) {
+  CheckThreadCountInvariance<LinearizedSimRankEngine>(
+      SimRankVariant::kEvidence);
 }
 
 // The delta-driven skip path shards exactly like the full rescore: with

@@ -325,6 +325,25 @@ TEST(StringUtilTest, FormatWithCommas) {
   EXPECT_EQ(FormatWithCommas(4045062), "4,045,062");
 }
 
+TEST(StringUtilTest, StrictParsersConsumeTheWholeValue) {
+  size_t size = 7;
+  EXPECT_TRUE(ParseSize("42", &size));
+  EXPECT_EQ(size, 42u);
+  for (const char* bad :
+       {"", "-1", "+1", "12x", " 1", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseSize(bad, &size)) << bad;
+  }
+  EXPECT_EQ(size, 42u);  // untouched on failure
+
+  double number = 0.0;
+  EXPECT_TRUE(ParseDouble("-2.5e1", &number));
+  EXPECT_EQ(number, -25.0);
+  for (const char* bad : {"", "abc", "1.5s", "0.5 "}) {
+    EXPECT_FALSE(ParseDouble(bad, &number)) << bad;
+  }
+  EXPECT_EQ(number, -25.0);
+}
+
 // ----------------------------------------------------------- TablePrinter
 
 TEST(TablePrinterTest, RendersAlignedTable) {
@@ -383,12 +402,13 @@ TEST(CsvWriterTest, WriteToFileRoundTrips) {
 // -------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // the destructor drains the queue before joining the workers
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -406,12 +426,6 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
   bool ran = false;
   pool.ParallelFor(0, [&](size_t, size_t) { ran = true; });
   EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnFreshPoolReturns) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not deadlock
-  SUCCEED();
 }
 
 TEST(ThreadPoolTest, ResolveThreadCount) {
@@ -474,19 +488,60 @@ TEST(ThreadPoolTest, NestedParallelForFromPoolTask) {
 }
 
 TEST(ThreadPoolTest, ParallelForFromSubmittedTask) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Submit([&] {
-    pool.ParallelFor(64, [&](size_t begin, size_t end) {
-      counter.fetch_add(static_cast<int>(end - begin));
+  {
+    ThreadPool pool(2);
+    pool.Submit([&] {
+      pool.ParallelFor(64, [&](size_t begin, size_t end) {
+        counter.fetch_add(static_cast<int>(end - begin));
+      });
     });
-  });
-  pool.WaitIdle();
+  }  // the destructor drains the queue before joining the workers
   EXPECT_EQ(counter.load(), 64);
 }
 
-// Regression: WaitIdle waited on *global* quiescence, so two concurrent
-// ParallelFor calls could return before their own chunks finished (or
+// The caller is a participant of its own batch, so a batch capped at one
+// thread runs every chunk on the caller, whatever its chunk count.
+TEST(ThreadPoolTest, CapOfOneRunsEveryChunkOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> chunks{0};
+  std::atomic<int> elsewhere{0};
+  auto note = [&] {
+    chunks.fetch_add(1);
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  };
+  for (int iter = 0; iter < 500; ++iter) {
+    pool.ParallelForChunked(
+        64, 16, [&](size_t, size_t, size_t) { note(); }, 1);
+    pool.ParallelFor(64, [&](size_t, size_t) { note(); }, 1);
+  }
+  EXPECT_EQ(chunks.load(), 500 * (16 + 4));
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+// A one-chunk batch (e.g. a TopKBatch of one query) has no work for a
+// helper, so it runs on the caller at any cap instead of waking a worker.
+TEST(ThreadPoolTest, OneChunkBatchRunsOnTheCaller) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> chunks{0};
+  std::atomic<int> elsewhere{0};
+  auto note = [&] {
+    chunks.fetch_add(1);
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  };
+  for (int iter = 0; iter < 500; ++iter) {
+    pool.ParallelForChunked(100, 1, [&](size_t, size_t, size_t) { note(); });
+    pool.ParallelForChunked(1, 8, [&](size_t, size_t, size_t) { note(); });
+    pool.ParallelFor(1, [&](size_t, size_t) { note(); });
+  }
+  EXPECT_EQ(chunks.load(), 500 * 3);
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+// Regression: ParallelFor once waited on *global* pool quiescence, so two
+// concurrent calls could return before their own chunks finished (or
 // long after). Each call must track exactly its own batch.
 TEST(ThreadPoolTest, ConcurrentParallelForFromTwoThreads) {
   ThreadPool pool(3);

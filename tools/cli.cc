@@ -39,11 +39,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -91,8 +93,8 @@ int Usage() {
       "            [--out F] [--reload TENANT] [--poll]\n"
       "  simrankpp serve-daemon --manifest M [--host H] [--port P]\n"
       "            [--port-file F] [--max-queue N] [--qps X] [--burst B]\n"
-      "            [--cold-row-cost C] [--poll-interval S] [--no-inotify]\n"
-      "            [--no-watch] [--metrics-port P] [--metrics-port-file F]\n"
+      "            [--cold-row-cost C] [--poll-interval S] [--no-watch]\n"
+      "            [--metrics-port P] [--metrics-port-file F]\n"
       "            [--slow-request-ms X]\n"
       "  simrankpp extract <graph.tsv> [--subgraphs N] [--out-prefix P]\n"
       "methods: simrank | evidence | weighted (default) | pearson\n"
@@ -115,6 +117,54 @@ bool HasFlag(int argc, char** argv, const char* name) {
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return true;
   }
+  return false;
+}
+
+// Strict numeric flags for the long-running daemon, where a value that
+// wraps or silently reads as 0 changes its behaviour without a trace
+// (a port of 70000 binding 4464, a queue bound of 0 shedding every
+// request). Each prints a message naming the flag and returns false when
+// the value does not parse or lies outside its range.
+constexpr int64_t kNoUpperBound = std::numeric_limits<int64_t>::max();
+
+bool IntegerFlag(int argc, char** argv, const char* name,
+                 const char* fallback, int64_t min, int64_t max,
+                 int64_t* out) {
+  std::string text = FlagValue(argc, argv, name, fallback);
+  bool negative = !text.empty() && text[0] == '-';
+  size_t magnitude = 0;
+  if (ParseSize(text.substr(negative ? 1 : 0), &magnitude) &&
+      magnitude <= static_cast<size_t>(kNoUpperBound)) {
+    int64_t value = static_cast<int64_t>(magnitude);
+    if (negative) value = -value;
+    if (value >= min && value <= max) {
+      *out = value;
+      return true;
+    }
+  }
+  std::string range =
+      max == kNoUpperBound
+          ? StringPrintf(">= %lld", static_cast<long long>(min))
+          : StringPrintf("in [%lld, %lld]", static_cast<long long>(min),
+                         static_cast<long long>(max));
+  std::fprintf(stderr, "%s: expected an integer %s, got '%s'\n", name,
+               range.c_str(), text.c_str());
+  return false;
+}
+
+// `min_exclusive` makes `min` itself invalid (a poll interval of 0).
+bool NumberFlag(int argc, char** argv, const char* name,
+                const char* fallback, double min, bool min_exclusive,
+                double* out) {
+  std::string text = FlagValue(argc, argv, name, fallback);
+  double value = 0.0;
+  if (ParseDouble(text, &value) && std::isfinite(value) &&
+      (min_exclusive ? value > min : value >= min)) {
+    *out = value;
+    return true;
+  }
+  std::fprintf(stderr, "%s: expected a number %s %g, got '%s'\n", name,
+               min_exclusive ? ">" : ">=", min, text.c_str());
   return false;
 }
 
@@ -646,27 +696,37 @@ int CmdServeDaemon(int argc, char** argv) {
   DaemonOptions options;
   options.manifest_path = manifest_path;
   options.host = FlagValue(argc, argv, "--host", "127.0.0.1");
-  options.port = static_cast<uint16_t>(
-      std::strtoul(FlagValue(argc, argv, "--port", "0"), nullptr, 10));
-  options.max_queue_per_tenant = std::strtoull(
-      FlagValue(argc, argv, "--max-queue", "512"), nullptr, 10);
-  options.tenant_qps =
-      std::strtod(FlagValue(argc, argv, "--qps", "0"), nullptr);
-  options.tenant_burst =
-      std::strtod(FlagValue(argc, argv, "--burst", "64"), nullptr);
-  options.cold_row_cost = std::strtoull(
-      FlagValue(argc, argv, "--cold-row-cost", "8"), nullptr, 10);
-  options.watch_poll_seconds = std::strtod(
-      FlagValue(argc, argv, "--poll-interval", "0.5"), nullptr);
-  options.use_inotify = !HasFlag(argc, argv, "--no-inotify");
+  constexpr int64_t kMaxPort = 65535;
+  int64_t port = 0;
+  int64_t metrics_port = 0;
+  int64_t max_queue = 0;
+  int64_t cold_row_cost = 0;
+  double slow_request_ms = 0.0;
+  // --metrics-port -1 (the default) keeps the HTTP listener off; 0 picks
+  // an ephemeral port, published via --metrics-port-file like --port-file.
+  if (!IntegerFlag(argc, argv, "--port", "0", 0, kMaxPort, &port) ||
+      !IntegerFlag(argc, argv, "--metrics-port", "-1", -1, kMaxPort,
+                   &metrics_port) ||
+      !IntegerFlag(argc, argv, "--max-queue", "512", 1, kNoUpperBound,
+                   &max_queue) ||
+      !IntegerFlag(argc, argv, "--cold-row-cost", "8", 1, kNoUpperBound,
+                   &cold_row_cost) ||
+      !NumberFlag(argc, argv, "--qps", "0", 0.0, false,
+                  &options.tenant_qps) ||
+      !NumberFlag(argc, argv, "--burst", "64", 1.0, false,
+                  &options.tenant_burst) ||
+      !NumberFlag(argc, argv, "--poll-interval", "0.5", 0.0, true,
+                  &options.watch_poll_seconds) ||
+      !NumberFlag(argc, argv, "--slow-request-ms", "0", 0.0, false,
+                  &slow_request_ms)) {
+    return 2;
+  }
+  options.port = static_cast<uint16_t>(port);
+  options.metrics_port = static_cast<int>(metrics_port);
+  options.max_queue_per_tenant = static_cast<size_t>(max_queue);
+  options.cold_row_cost = static_cast<size_t>(cold_row_cost);
+  options.slow_request_seconds = slow_request_ms / 1e3;
   options.enable_watcher = !HasFlag(argc, argv, "--no-watch");
-  // -1 (the default) keeps the HTTP listener off; 0 picks an ephemeral
-  // port, published via --metrics-port-file like --port-file.
-  options.metrics_port = static_cast<int>(std::strtol(
-      FlagValue(argc, argv, "--metrics-port", "-1"), nullptr, 10));
-  options.slow_request_seconds =
-      std::strtod(FlagValue(argc, argv, "--slow-request-ms", "0"), nullptr) /
-      1e3;
   const char* port_file = FlagValue(argc, argv, "--port-file", nullptr);
   const char* metrics_port_file =
       FlagValue(argc, argv, "--metrics-port-file", nullptr);
