@@ -47,7 +47,7 @@ Status DenseSimRankEngine::Run(const BipartiteGraph& graph) {
   for (size_t a = 0; a < na; ++a) ad_scores_[a * na + a] = 1.0;
 
   stats_ = SimRankStats();
-  stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
+  stats_.simd_level = simd::ActiveKernels().name;
   // Every row pass runs on the process-wide pool, capped at num_threads
   // participants: spawning threads per Run would cost more than the row
   // updates themselves on small graphs, and a service computing several
@@ -171,7 +171,7 @@ double DenseSimRankEngine::IterateOnce(const BipartiteGraph& graph,
   const bool weighted = options_.variant == SimRankVariant::kWeighted;
   // One table lookup per iteration; the table is an immutable static, so
   // sharing the reference across the pool's workers is safe.
-  const simd::KernelTable& kern = simd::ActiveKernels(options_.fast_math);
+  const simd::KernelTable& kern = simd::ActiveKernels();
   // Base of the flat neighbor arrays, for translating a node's neighbor
   // span into an offset within the parallel flat weight arrays.
   const AdId* q_neigh_base =

@@ -104,22 +104,4 @@ Result<std::unique_ptr<SimRankEngine>> CreateSimRankEngine(
   return factory(options);
 }
 
-bool HasSimRankEngine(std::string_view name) {
-  Registry& registry = GlobalRegistry();
-  MutexLock lock(&registry.mu);
-  return registry.factories.find(name) != registry.factories.end();
-}
-
-std::vector<std::string> RegisteredSimRankEngines() {
-  Registry& registry = GlobalRegistry();
-  MutexLock lock(&registry.mu);
-  std::vector<std::string> names;
-  names.reserve(registry.factories.size());
-  for (const auto& [name, unused] : registry.factories) {
-    (void)unused;
-    names.push_back(name);  // std::map iterates sorted
-  }
-  return names;
-}
-
 }  // namespace simrankpp

@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/simrank_engine.h"
 
@@ -37,13 +36,6 @@ Status RegisterSimRankEngine(std::string name, SimRankEngineFactory factory);
 /// engine; InvalidArgument for invalid options. Thread-safe.
 Result<std::unique_ptr<SimRankEngine>> CreateSimRankEngine(
     std::string_view name, const SimRankOptions& options);
-
-/// \brief True when an engine is registered under `name`.
-bool HasSimRankEngine(std::string_view name);
-
-/// \brief All registered engine names, sorted. Always contains at least
-/// the built-ins "dense" and "sparse".
-std::vector<std::string> RegisteredSimRankEngines();
 
 }  // namespace simrankpp
 

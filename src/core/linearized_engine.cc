@@ -182,7 +182,7 @@ double LinearizedSimRankEngine::EstimateDiagonals(
   // products over the SoA forms, run through the SIMD dense-gather kernel
   // (8-lane deterministic order; the table is an immutable static, safe
   // to share across the pool's workers).
-  const simd::KernelTable& kern = simd::ActiveKernels(options_.fast_math);
+  const simd::KernelTable& kern = simd::ActiveKernels();
   auto sweep_side = [&](const std::vector<DiagForm>& forms,
                         const std::vector<double>& d_own,
                         const std::vector<double>& d_opp,
@@ -243,7 +243,7 @@ Status LinearizedSimRankEngine::Prepare(const BipartiteGraph& graph) {
   SRPP_RETURN_NOT_OK(BindGraph(graph));
 
   stats_ = SimRankStats();
-  stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
+  stats_.simd_level = simd::ActiveKernels().name;
   // Same pool discipline as the other engines: every sweep runs on the
   // process-wide pool capped at num_threads participants.
   stats_.threads_used = SharedThreadPool().Participants(options_.num_threads);

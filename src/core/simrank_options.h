@@ -89,13 +89,6 @@ struct SimRankOptions {
   /// largest violation of the diag(S) = 1 condition falls below this.
   double linearized_diag_tolerance = 1e-4;
 
-  /// Opt out of the deterministic SIMD summation order: fast-math
-  /// kernels may fuse multiply-adds (FMA), trading the byte-identical
-  /// cross-dispatch-level export guarantee for a little extra speed.
-  /// Results then match the default mode only within the tolerance
-  /// documented in docs/SIMD_KERNELS.md. Off by default.
-  bool fast_math = false;
-
   /// Worker threads for the iteration loops (0 = hardware concurrency,
   /// 1 = single-threaded). Engines borrow the process-wide shared pool
   /// (SharedThreadPool) capped at this many participating threads rather
@@ -130,9 +123,8 @@ struct SimRankStats {
   size_t rescored_pairs = 0;
   size_t reused_pairs = 0;
   double elapsed_seconds = 0.0;
-  /// SIMD dispatch level the kernels ran at ("scalar", "avx2",
-  /// "avx512"; "-fast" suffix when SimRankOptions::fast_math was on).
-  /// Empty for engines that predate the kernel layer.
+  /// SIMD dispatch level the kernels ran at, as SimdLevelName() spells
+  /// it ("scalar", "avx2", "avx512"). Empty until the engine has run.
   std::string simd_level;
 
   std::string ToString() const;

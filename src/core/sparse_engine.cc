@@ -73,7 +73,7 @@ Status SparseSimRankEngine::Run(const BipartiteGraph& graph) {
   }
 
   stats_ = SimRankStats();
-  stats_.simd_level = simd::ActiveKernels(options_.fast_math).name;
+  stats_.simd_level = simd::ActiveKernels().name;
   // Every sharded loop runs on the process-wide pool, capped at
   // num_threads participants; concurrent Runs share the same workers
   // without observing each other's batches.
@@ -301,7 +301,7 @@ PairStore SparseSimRankEngine::UpdateSide(bool query_side,
 
   // Kernels for the hot accumulations (one table per Run; immutable, so
   // sharing the reference across worker threads is free).
-  const simd::KernelTable& kern = simd::ActiveKernels(options_.fast_math);
+  const simd::KernelTable& kern = simd::ActiveKernels();
 
   // sum over (a, b) in E(u) x E(v) of wu * wv * s(a, b), computed for
   // each edge u->a as an intersection of a's score row with v's neighbor

@@ -120,6 +120,67 @@ TEST(CliArgsTest, ServeDaemonRejectsBadDurations) {
   EXPECT_EQ(ServeDaemonWith({"--slow-request-ms", "inf"}), 2);
 }
 
+// The other subcommands parse their numeric flags just as strictly,
+// before any input is read: against a missing graph a valid value ends
+// in the file error (exit 1) and a bad one in a usage error (exit 2), so
+// each case shows the value was rejected rather than wrapped or read as 0.
+TEST(CliArgsTest, GenerateRejectsBadCounts) {
+  const std::string out = TempPath("never_generated.tsv");
+  for (const std::vector<std::string>& flags :
+       std::vector<std::vector<std::string>>{{"--queries", "0"},
+                                             {"--queries", "-5"},
+                                             {"--ads", "12k"},
+                                             {"--ads", ""},
+                                             {"--seed", "-1"}}) {
+    std::vector<std::string> args = {"generate", "--out", out};
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_EQ(RunCliWith(args), 2) << flags[0] << " " << flags[1];
+  }
+  std::ifstream never(out);
+  EXPECT_FALSE(never.good());
+}
+
+TEST(CliArgsTest, TopMustBeAPositiveCount) {
+  const std::string graph = TempPath("no_top_graph.tsv");
+  EXPECT_EQ(RunCliWith({"similar", graph, "--query", "q", "--top", "3"}), 1);
+  for (const char* bad : {"-1", "0", "ten", "5.5"}) {
+    EXPECT_EQ(RunCliWith({"similar", graph, "--query", "q", "--top", bad}), 2)
+        << bad;
+    EXPECT_EQ(RunCliWith({"serve-eval", graph, "--snapshot-in", "s.snap",
+                          "--top", bad}),
+              2)
+        << bad;
+    EXPECT_EQ(RunCliWith({"serve-multi", "--manifest", "m.txt", "--queries",
+                          "q.tsv", "--top", bad}),
+              2)
+        << bad;
+  }
+}
+
+TEST(CliArgsTest, ComputeRejectsBadThreadsAndMinScore) {
+  auto compute = [](std::vector<std::string> flags) {
+    std::vector<std::string> args = {"compute", TempPath("no_compute.tsv"),
+                                     "--snapshot-out", "s.snap"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    return RunCliWith(args);
+  };
+  EXPECT_EQ(compute({"--method", "simrank", "--threads", "4", "--min-score",
+                     "0"}),
+            1);
+  EXPECT_EQ(compute({"--threads", "-1"}), 2);
+  EXPECT_EQ(compute({"--threads", "2x"}), 2);
+  EXPECT_EQ(compute({"--min-score", "-0.1"}), 2);
+  EXPECT_EQ(compute({"--min-score", "nan"}), 2);
+  EXPECT_EQ(compute({"--min-score", "1e-6x"}), 2);
+}
+
+TEST(CliArgsTest, ExtractRejectsBadSubgraphCount) {
+  const std::string graph = TempPath("no_extract_graph.tsv");
+  EXPECT_EQ(RunCliWith({"extract", graph, "--subgraphs", "2"}), 1);
+  EXPECT_EQ(RunCliWith({"extract", graph, "--subgraphs", "0"}), 2);
+  EXPECT_EQ(RunCliWith({"extract", graph, "--subgraphs", "-3"}), 2);
+}
+
 TEST(CliArgsTest, MissingGraphFileIsRuntimeError) {
   EXPECT_EQ(RunCliWith({"stats", TempPath("no_such_graph.tsv")}), 1);
 }
@@ -166,6 +227,15 @@ TEST_F(CliRoundTripTest, SimilarFindsNeighborsForARealQuery) {
   EXPECT_EQ(RunCliWith({"similar", *graph_path_, "--query", query, "--method",
                  "simrank", "--top", "5"}),
             0);
+}
+
+// A negative --top used to wrap to SIZE_MAX and list every partner.
+TEST_F(CliRoundTripTest, SimilarRejectsNegativeTop) {
+  Result<BipartiteGraph> graph = LoadGraph(*graph_path_);
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(RunCliWith({"similar", *graph_path_, "--query",
+                        graph->query_label(0), "--top", "-1"}),
+            2);
 }
 
 TEST_F(CliRoundTripTest, SimilarUnknownQueryFails) {
@@ -233,6 +303,20 @@ class CliServeMultiTest : public CliRoundTripTest {
 
   std::string stem_, qq_snap_, ad_snap_, manifest_, queries_, out_;
 };
+
+// --batch defaults to the graph's query count, so it is checked once
+// the graph is loaded (and before the snapshot is).
+TEST_F(CliServeMultiTest, ServeEvalChecksBatch) {
+  EXPECT_EQ(RunCliWith({"serve-eval", *graph_path_, "--snapshot-in", qq_snap_,
+                        "--batch", "20"}),
+            0);
+  EXPECT_EQ(RunCliWith({"serve-eval", *graph_path_, "--snapshot-in", qq_snap_,
+                        "--batch", "-1"}),
+            2);
+  EXPECT_EQ(RunCliWith({"serve-eval", *graph_path_, "--snapshot-in", qq_snap_,
+                        "--batch", "all"}),
+            2);
+}
 
 TEST_F(CliServeMultiTest, AdSideSnapshotReportsItsTag) {
   Result<SnapshotInfo> info = ReadSnapshotInfo(ad_snap_);

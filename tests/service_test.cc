@@ -399,7 +399,6 @@ TEST(EngineRegistryIntegrationTest, StubEnginePlugsInWithoutCoreEdits) {
             std::make_unique<StubEngine>(options));
       });
   ASSERT_TRUE(registered.ok()) << registered.ToString();
-  EXPECT_TRUE(HasSimRankEngine("stub"));
 
   BipartiteGraph graph = MakeFigure3Graph();
   auto service = RewriteServiceBuilder()

@@ -4,7 +4,6 @@
 // sparse engine agreement across variants.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <set>
@@ -355,17 +354,6 @@ TEST(OptionsValidationTest, EveryInvalidRangeGetsADistinctActionableError) {
 }
 
 // ------------------------------------------------------- engine registry
-
-TEST(EngineRegistryTest, BuiltinsAreRegistered) {
-  EXPECT_TRUE(HasSimRankEngine("dense"));
-  EXPECT_TRUE(HasSimRankEngine("sparse"));
-  EXPECT_TRUE(HasSimRankEngine("linearized"));
-  std::vector<std::string> names = RegisteredSimRankEngines();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  EXPECT_NE(std::find(names.begin(), names.end(), "dense"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "sparse"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "linearized"), names.end());
-}
 
 TEST(EngineRegistryTest, UnknownNameListsRegisteredEngines) {
   auto result = CreateSimRankEngine("quadratic", SimRankOptions());

@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/engine_registry.h"
 #include "core/evidence.h"
 #include "core/sparse_engine.h"
 #include "core/weighted_transitions.h"
@@ -380,69 +385,100 @@ TEST(SparseEquivalenceCapTest, TightPartnerCapStaysBitIdentical) {
   }
 }
 
-// The determinism contract's headline guarantee: the same run exports
-// the same bytes at every SIMD dispatch level (default, non-fast mode).
-// Each supported level is forced programmatically and compared against
-// the scalar run; the unsupported ones are skipped (the CI
-// simd-scalar-fallback leg plus vector-capable runners cover all).
+// Every exported pair with its score's bit pattern, in key order: two
+// exports are byte-identical exactly when these vectors are equal.
+using PairBits = std::vector<std::tuple<uint32_t, uint32_t, uint64_t>>;
+PairBits BitsOf(const SimilarityMatrix& matrix) {
+  PairBits bits;
+  matrix.ForEachPair([&bits](uint32_t u, uint32_t v, double score) {
+    bits.emplace_back(u, v, std::bit_cast<uint64_t>(score));
+  });
+  std::sort(bits.begin(), bits.end());
+  return bits;
+}
+
+// One engine run at the active dispatch level: both exports, plus (for
+// an OnDemandScorer) the on-demand rows of the first kRows nodes of
+// each side, all as bit patterns.
+struct LevelRun {
+  std::string simd_level;
+  PairBits queries;
+  PairBits ads;
+  std::vector<std::pair<uint32_t, uint64_t>> rows;
+};
+
+LevelRun RunAtActiveLevel(const char* engine_name,
+                          const SimRankOptions& options,
+                          const BipartiteGraph& graph) {
+  constexpr uint32_t kRows = 25;
+  LevelRun run;
+  auto engine = CreateSimRankEngine(engine_name, options);
+  SRPP_CHECK(engine.ok()) << engine.status().ToString();
+  SRPP_CHECK((*engine)->Run(graph).ok());
+  run.simd_level = (*engine)->stats().simd_level;
+  run.queries = BitsOf((*engine)->ExportQueryScores(0.0));
+  run.ads = BitsOf((*engine)->ExportAdScores(0.0));
+  const auto* scorer = dynamic_cast<const OnDemandScorer*>(engine->get());
+  if (scorer == nullptr) return run;
+  for (bool ad_side : {false, true}) {
+    for (uint32_t node = 0; node < kRows; ++node) {
+      auto row = scorer->ScoredRow(ad_side, node, 0.0, 0);
+      SRPP_CHECK(row.ok()) << row.status().ToString();
+      for (const ScoredNode& entry : *row) {
+        run.rows.emplace_back(entry.node,
+                              std::bit_cast<uint64_t>(entry.score));
+      }
+    }
+  }
+  return run;
+}
+
+// The determinism contract's headline guarantee: every engine exports
+// the same bytes at every SIMD dispatch level, and the linearized
+// engine's on-demand rows do too. Each supported level is forced
+// programmatically and compared against the scalar run; the unsupported
+// ones are skipped (the CI simd-scalar-fallback leg plus vector-capable
+// runners cover all).
 TEST(SimdDispatchEquivalenceTest, ByteIdenticalAcrossDispatchLevels) {
   BipartiteGraph graph = SeededGraph();
   const simd::SimdLevel before = simd::ActiveSimdLevel();
-  for (SimRankVariant variant :
-       {SimRankVariant::kSimRank, SimRankVariant::kWeighted}) {
-    SimRankOptions options = BaseOptions(variant);
-    ASSERT_TRUE(simd::SetSimdLevel(simd::SimdLevel::kScalar));
-    SparseSimRankEngine scalar_engine(options);
-    ASSERT_TRUE(scalar_engine.Run(graph).ok());
-    EXPECT_EQ(scalar_engine.stats().simd_level, "scalar");
-    SimilarityMatrix want_queries = scalar_engine.ExportQueryScores(0.0);
-    SimilarityMatrix want_ads = scalar_engine.ExportAdScores(0.0);
-    ASSERT_GT(want_queries.num_pairs(), 0u);
+  const struct {
+    const char* engine;
+    std::vector<SimRankVariant> variants;
+  } cases[] = {
+      {"sparse",
+       {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
+        SimRankVariant::kWeighted}},
+      {"dense",
+       {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
+        SimRankVariant::kWeighted}},
+      {"linearized", {SimRankVariant::kSimRank, SimRankVariant::kEvidence}},
+  };
+  for (const auto& c : cases) {
+    for (SimRankVariant variant : c.variants) {
+      SCOPED_TRACE(std::string(c.engine) + "/" + SimRankVariantName(variant));
+      SimRankOptions options = BaseOptions(variant);
+      ASSERT_TRUE(simd::SetSimdLevel(simd::SimdLevel::kScalar));
+      const LevelRun want = RunAtActiveLevel(c.engine, options, graph);
+      EXPECT_EQ(want.simd_level, "scalar");
+      ASSERT_GT(want.queries.size(), 0u);
+      ASSERT_GT(want.ads.size(), 0u);
+      EXPECT_EQ(want.rows.empty(), std::string(c.engine) != "linearized");
 
-    for (simd::SimdLevel level :
-         {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
-      if (!simd::SimdLevelSupported(level)) continue;
-      ASSERT_TRUE(simd::SetSimdLevel(level));
-      SparseSimRankEngine engine(options);
-      ASSERT_TRUE(engine.Run(graph).ok());
-      EXPECT_EQ(engine.stats().simd_level, simd::SimdLevelName(level));
-      ExpectIdentical(engine.ExportQueryScores(0.0), want_queries);
-      ExpectIdentical(engine.ExportAdScores(0.0), want_ads);
+      for (simd::SimdLevel level :
+           {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
+        if (!simd::SimdLevelSupported(level)) continue;
+        SCOPED_TRACE(simd::SimdLevelName(level));
+        ASSERT_TRUE(simd::SetSimdLevel(level));
+        const LevelRun got = RunAtActiveLevel(c.engine, options, graph);
+        EXPECT_EQ(got.simd_level, simd::SimdLevelName(level));
+        EXPECT_TRUE(got.queries == want.queries);
+        EXPECT_TRUE(got.ads == want.ads);
+        EXPECT_TRUE(got.rows == want.rows);
+      }
     }
   }
   ASSERT_TRUE(simd::SetSimdLevel(before));
-}
-
-// fast_math opts out of bit-identity (FMA permitted) but must stay
-// within the tolerance documented in docs/SIMD_KERNELS.md. Pruning and
-// the partner cap are disabled so the kept pair set cannot flip on a
-// last-ULP threshold comparison.
-TEST(SimdFastMathTest, WithinDocumentedTolerance) {
-  BipartiteGraph graph = SeededGraph();
-  constexpr double kTolerance = 1e-9;
-  for (SimRankVariant variant :
-       {SimRankVariant::kSimRank, SimRankVariant::kWeighted}) {
-    SimRankOptions options = BaseOptions(variant);
-    options.prune_threshold = 0.0;
-    options.max_partners_per_node = 0;
-    options.iterations = 5;
-    SparseSimRankEngine exact_engine(options);
-    ASSERT_TRUE(exact_engine.Run(graph).ok());
-
-    SimRankOptions fast_options = options;
-    fast_options.fast_math = true;
-    SparseSimRankEngine fast_engine(fast_options);
-    ASSERT_TRUE(fast_engine.Run(graph).ok());
-
-    SimilarityMatrix exact_queries = exact_engine.ExportQueryScores(0.0);
-    ASSERT_GT(exact_queries.num_pairs(), 0u);
-    EXPECT_LE(fast_engine.ExportQueryScores(0.0).MaxAbsDifference(
-                  exact_queries),
-              kTolerance);
-    EXPECT_LE(fast_engine.ExportAdScores(0.0).MaxAbsDifference(
-                  exact_engine.ExportAdScores(0.0)),
-              kTolerance);
-  }
 }
 
 // Zero pruning keeps every reachable pair alive; the candidate-superset

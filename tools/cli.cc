@@ -120,11 +120,11 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-// Strict numeric flags for the long-running daemon, where a value that
-// wraps or silently reads as 0 changes its behaviour without a trace
-// (a port of 70000 binding 4464, a queue bound of 0 shedding every
-// request). Each prints a message naming the flag and returns false when
-// the value does not parse or lies outside its range.
+// Strict numeric flags: a value that wraps or silently reads as 0
+// changes behaviour without a trace (a port of 70000 binding 4464, a
+// --top of -1 printing every partner). Each prints a message naming the
+// flag and returns false when the value does not parse or lies outside
+// its range; the commands then exit 2.
 constexpr int64_t kNoUpperBound = std::numeric_limits<int64_t>::max();
 
 bool IntegerFlag(int argc, char** argv, const char* name,
@@ -150,6 +150,17 @@ bool IntegerFlag(int argc, char** argv, const char* name,
   std::fprintf(stderr, "%s: expected an integer %s, got '%s'\n", name,
                range.c_str(), text.c_str());
   return false;
+}
+
+// IntegerFlag for a size or count of at least `min`, with no upper bound.
+bool CountFlag(int argc, char** argv, const char* name, const char* fallback,
+               int64_t min, size_t* out) {
+  int64_t value = 0;
+  if (!IntegerFlag(argc, argv, name, fallback, min, kNoUpperBound, &value)) {
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
 }
 
 // `min_exclusive` makes `min` itself invalid (a poll interval of 0).
@@ -204,12 +215,13 @@ int CmdGenerate(int argc, char** argv) {
   const char* out = FlagValue(argc, argv, "--out", nullptr);
   if (out == nullptr) return Usage();
   GeneratorOptions options;
-  options.num_queries =
-      std::strtoull(FlagValue(argc, argv, "--queries", "22000"), nullptr, 10);
-  options.num_ads =
-      std::strtoull(FlagValue(argc, argv, "--ads", "7000"), nullptr, 10);
-  options.seed =
-      std::strtoull(FlagValue(argc, argv, "--seed", "2024"), nullptr, 10);
+  size_t seed = 0;
+  if (!CountFlag(argc, argv, "--queries", "22000", 1, &options.num_queries) ||
+      !CountFlag(argc, argv, "--ads", "7000", 1, &options.num_ads) ||
+      !CountFlag(argc, argv, "--seed", "2024", 0, &seed)) {
+    return 2;
+  }
+  options.seed = seed;
   Result<SyntheticClickGraph> world = GenerateClickGraph(options);
   if (!world.ok()) {
     std::fprintf(stderr, "%s\n", world.status().ToString().c_str());
@@ -241,7 +253,8 @@ int CmdSimilar(const std::string& path, int argc, char** argv) {
   if (query_text == nullptr) return Usage();
   std::string method = FlagValue(argc, argv, "--method", "weighted");
   std::string engine = FlagValue(argc, argv, "--engine", "sparse");
-  size_t top = std::strtoull(FlagValue(argc, argv, "--top", "10"), nullptr, 10);
+  size_t top = 0;
+  if (!CountFlag(argc, argv, "--top", "10", 1, &top)) return 2;
 
   Result<BipartiteGraph> graph = LoadGraph(path);
   if (!graph.ok()) {
@@ -321,8 +334,13 @@ int CmdCompute(const std::string& path, int argc, char** argv) {
   std::string method = FlagValue(argc, argv, "--method", "weighted");
   std::string engine = FlagValue(argc, argv, "--engine", "sparse");
   std::string side_name = FlagValue(argc, argv, "--side", "query");
-  double min_score =
-      std::strtod(FlagValue(argc, argv, "--min-score", "1e-6"), nullptr);
+  double min_score = 0.0;
+  size_t threads = 0;
+  if (!NumberFlag(argc, argv, "--min-score", "1e-6", 0.0, false,
+                  &min_score) ||
+      !CountFlag(argc, argv, "--threads", "0", 0, &threads)) {
+    return 2;
+  }
   if (side_name != "query" && side_name != "ad") {
     std::fprintf(stderr, "--side must be \"query\" or \"ad\", got %s\n",
                  side_name.c_str());
@@ -352,8 +370,7 @@ int CmdCompute(const std::string& path, int argc, char** argv) {
       return Status::InvalidArgument("unknown method: " + method);
     }
     method_label = SimRankVariantName(options.variant);
-    options.num_threads = static_cast<size_t>(std::strtoull(
-        FlagValue(argc, argv, "--threads", "0"), nullptr, 10));
+    options.num_threads = threads;
     SRPP_ASSIGN_OR_RETURN(std::unique_ptr<SimRankEngine> eng,
                           CreateSimRankEngine(engine, options));
     SRPP_RETURN_NOT_OK(eng->Run(*graph));
@@ -414,12 +431,19 @@ int CmdServeEval(const std::string& path, int argc, char** argv) {
   const char* snapshot_in = FlagValue(argc, argv, "--snapshot-in", nullptr);
   if (snapshot_in == nullptr) return Usage();
   const char* query_text = FlagValue(argc, argv, "--query", nullptr);
-  size_t top = std::strtoull(FlagValue(argc, argv, "--top", "5"), nullptr, 10);
+  size_t top = 0;
+  if (!CountFlag(argc, argv, "--top", "5", 1, &top)) return 2;
 
   Result<BipartiteGraph> graph = LoadGraph(path);
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
+  }
+  // Checked before the snapshot loads, so a bad value costs no load.
+  size_t batch = 0;
+  if (!CountFlag(argc, argv, "--batch",
+                 std::to_string(graph->num_queries()).c_str(), 0, &batch)) {
+    return 2;
   }
   RewritePipelineOptions pipeline;
   pipeline.apply_bid_filter = false;  // no bid DB from the CLI
@@ -454,10 +478,6 @@ int CmdServeEval(const std::string& path, int argc, char** argv) {
 
   // No query given: batch-serve every graph query (capped by --batch) and
   // report coverage, the serving-side counterpart of Figure 8.
-  size_t batch = std::strtoull(
-      FlagValue(argc, argv, "--batch",
-                std::to_string(graph->num_queries()).c_str()),
-      nullptr, 10);
   batch = std::min(batch, graph->num_queries());
   std::vector<QueryId> queries(batch);
   std::iota(queries.begin(), queries.end(), 0u);
@@ -543,7 +563,8 @@ int CmdServeMulti(int argc, char** argv) {
   const char* manifest_path = FlagValue(argc, argv, "--manifest", nullptr);
   const char* queries_path = FlagValue(argc, argv, "--queries", nullptr);
   if (manifest_path == nullptr || queries_path == nullptr) return Usage();
-  size_t top = std::strtoull(FlagValue(argc, argv, "--top", "5"), nullptr, 10);
+  size_t top = 0;
+  if (!CountFlag(argc, argv, "--top", "5", 1, &top)) return 2;
   const char* out_path = FlagValue(argc, argv, "--out", nullptr);
   const char* reload_tenant = FlagValue(argc, argv, "--reload", nullptr);
 
@@ -699,18 +720,16 @@ int CmdServeDaemon(int argc, char** argv) {
   constexpr int64_t kMaxPort = 65535;
   int64_t port = 0;
   int64_t metrics_port = 0;
-  int64_t max_queue = 0;
-  int64_t cold_row_cost = 0;
   double slow_request_ms = 0.0;
   // --metrics-port -1 (the default) keeps the HTTP listener off; 0 picks
   // an ephemeral port, published via --metrics-port-file like --port-file.
   if (!IntegerFlag(argc, argv, "--port", "0", 0, kMaxPort, &port) ||
       !IntegerFlag(argc, argv, "--metrics-port", "-1", -1, kMaxPort,
                    &metrics_port) ||
-      !IntegerFlag(argc, argv, "--max-queue", "512", 1, kNoUpperBound,
-                   &max_queue) ||
-      !IntegerFlag(argc, argv, "--cold-row-cost", "8", 1, kNoUpperBound,
-                   &cold_row_cost) ||
+      !CountFlag(argc, argv, "--max-queue", "512", 1,
+                 &options.max_queue_per_tenant) ||
+      !CountFlag(argc, argv, "--cold-row-cost", "8", 1,
+                 &options.cold_row_cost) ||
       !NumberFlag(argc, argv, "--qps", "0", 0.0, false,
                   &options.tenant_qps) ||
       !NumberFlag(argc, argv, "--burst", "64", 1.0, false,
@@ -723,8 +742,6 @@ int CmdServeDaemon(int argc, char** argv) {
   }
   options.port = static_cast<uint16_t>(port);
   options.metrics_port = static_cast<int>(metrics_port);
-  options.max_queue_per_tenant = static_cast<size_t>(max_queue);
-  options.cold_row_cost = static_cast<size_t>(cold_row_cost);
   options.slow_request_seconds = slow_request_ms / 1e3;
   options.enable_watcher = !HasFlag(argc, argv, "--no-watch");
   const char* port_file = FlagValue(argc, argv, "--port-file", nullptr);
@@ -780,14 +797,15 @@ int CmdServeDaemon(int argc, char** argv) {
 }
 
 int CmdExtract(const std::string& path, int argc, char** argv) {
+  ExtractorOptions options;
+  if (!CountFlag(argc, argv, "--subgraphs", "5", 1, &options.num_subgraphs)) {
+    return 2;
+  }
   Result<BipartiteGraph> graph = LoadGraph(path);
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  ExtractorOptions options;
-  options.num_subgraphs = std::strtoull(
-      FlagValue(argc, argv, "--subgraphs", "5"), nullptr, 10);
   options.min_nodes_per_subgraph = 200;
   options.max_nodes_per_subgraph = 8000;
   options.ppr.epsilon = 5e-7;

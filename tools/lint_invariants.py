@@ -28,6 +28,13 @@ tooling cannot know about this codebase:
                        the scalar fallback, runtime dispatch, and the
                        cross-level determinism contract stay in one
                        place.
+  fused-multiply-add   An FMA intrinsic (_mm*_fmadd_*, _fmsub_*,
+                       _fnmadd_*, _fnmsub_*) or std::fma / fma( anywhere
+                       under src/, src/util/simd/ included. Each SIMD
+                       level has one kernel table and it never fuses,
+                       so every level rounds exactly like the scalar
+                       reference; one explicit fusion breaks the
+                       byte-identical exports across levels.
   metric-naming        A metric-name string literal that breaks the
                        naming policy (docs/OBSERVABILITY.md): srpp_
                        prefix, [a-z0-9_] charset, and a unit suffix —
@@ -63,6 +70,7 @@ RULES = (
     "naked-new",
     "raw-assert",
     "raw-intrinsics",
+    "fused-multiply-add",
     "metric-naming",
 )
 
@@ -88,6 +96,10 @@ SERVE_PREFIX = "src/serve/"
 # The only tree allowed to touch raw x86 intrinsics; everything else
 # goes through the dispatched kernel tables (util/simd/simd.h).
 SIMD_PREFIX = "src/util/simd/"
+
+# Where the fused-multiply-add rule applies: the whole library, the
+# kernel tree included.
+SRC_PREFIX = "src/"
 
 # Trees the tree-walk mode scans. Tests are out of scope: gtest's own
 # idioms (and deliberate death-test UB probes) would drown the signal.
@@ -381,6 +393,22 @@ def _raw_intrinsics_findings(path, stripped):
     return findings
 
 
+_FMA_RE = re.compile(
+    r"\b(?:_mm\w*_fn?m(?:add|sub)\w*|(?:__builtin_)?fma[fl]?\s*\()")
+
+
+def _fused_multiply_add_findings(path, stripped):
+    findings = []
+    for m in _FMA_RE.finditer(stripped):
+        name = m.group(0).rstrip("( ")
+        findings.append(Finding(
+            path, _line_of(stripped, m.start()), "fused-multiply-add",
+            f"'{name}' fuses a multiply-add; every SIMD level must round "
+            "like the scalar kernels (separate multiply and add) to keep "
+            "exports byte-identical"))
+    return findings
+
+
 # Unit suffixes accepted per registration call. SetInfo pins an _info
 # gauge; plain gauges may also be _info (the collector emits them).
 _METRIC_SUFFIXES_BY_KIND = {
@@ -452,6 +480,8 @@ def lint_file(rel_path, text, unordered_names, atomic_sp_names):
             rel_path, stripped, atomic_sp_names))
     if not rel_path.startswith(SIMD_PREFIX):
         findings.extend(_raw_intrinsics_findings(rel_path, stripped))
+    if rel_path.startswith(SRC_PREFIX):
+        findings.extend(_fused_multiply_add_findings(rel_path, stripped))
     findings.extend(_naked_new_findings(rel_path, stripped))
     findings.extend(_raw_assert_findings(rel_path, stripped))
     findings.extend(_metric_naming_findings(rel_path, text))

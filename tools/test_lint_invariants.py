@@ -190,6 +190,46 @@ class RawIntrinsicsTest(unittest.TestCase):
         self.assertEqual(run(OTHER, text), [])
 
 
+class FusedMultiplyAddTest(unittest.TestCase):
+    SIMD = "src/util/simd/simd_traits.h"
+
+    def test_flags_fma_intrinsics_inside_simd_tree(self):
+        text = ("static VecD Fused(VecD a, VecD b, VecD acc) {\n"
+                "  return {_mm256_fmadd_pd(a.lo, b.lo, acc.lo),\n"
+                "          _mm256_fnmsub_pd(a.hi, b.hi, acc.hi)};\n"
+                "}\n"
+                "__m512d f(__m512d a) { return _mm512_fmsub_pd(a, a, a); }\n"
+                "__m512d g(__m512d a) {\n"
+                "  return _mm512_mask3_fnmadd_pd(a, a, a, 0xff);\n"
+                "}\n")
+        findings = run(self.SIMD, text)
+        self.assertEqual(rules_of(findings), ["fused-multiply-add"] * 4)
+        self.assertEqual([f.line for f in findings], [2, 3, 5, 7])
+
+    def test_flags_std_fma_and_builtin_outside_simd_tree(self):
+        text = ("double f(double a, double b, double c) {\n"
+                "  return std::fma(a, b, c) + fma (a, b, c) +\n"
+                "         __builtin_fmaf(1.f, 2.f, 3.f);\n"
+                "}\n")
+        self.assertEqual(rules_of(run(OTHER, text)),
+                         ["fused-multiply-add"] * 3)
+
+    def test_separate_multiply_add_and_lookalikes_pass(self):
+        text = ("acc = _mm256_add_pd(acc, _mm256_mul_pd(a, b));\n"
+                "double m = std::fmax(a, b) + fmaf_count + my_fma(a);\n"
+                "size_t fma_lanes = 0;\n")
+        self.assertEqual(run(self.SIMD, text), [])
+
+    def test_comment_or_string_not_flagged(self):
+        text = ("// default kernels never call _mm256_fmadd_pd or std::fma\n"
+                'const char* s = "fma(a, b, c)";\n')
+        self.assertEqual(run(self.SIMD, text), [])
+
+    def test_rule_scoped_to_src(self):
+        text = "double x = std::fma(a, b, c);\n"
+        self.assertEqual(run("bench/bench_perf_kernels.cc", text), [])
+
+
 class MetricNamingTest(unittest.TestCase):
     def test_valid_counter_passes(self):
         text = ('auto* c = registry->GetCounter("srpp_requests_total",\n'
