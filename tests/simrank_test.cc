@@ -11,6 +11,7 @@
 #include "core/closed_form.h"
 #include "core/dense_engine.h"
 #include "core/engine_registry.h"
+#include "core/linearized_engine.h"
 #include "core/naive_similarity.h"
 #include "core/sample_graphs.h"
 #include "core/sparse_engine.h"
@@ -354,6 +355,28 @@ TEST(OptionsValidationTest, EveryInvalidRangeGetsADistinctActionableError) {
 }
 
 // ------------------------------------------------------- engine registry
+
+// Each built-in name is seeded on first use and builds its own engine,
+// and an unknown name's error lists the registered names in sorted order.
+TEST(EngineRegistryTest, BuiltinsAreRegistered) {
+  auto dense = CreateSimRankEngine("dense", SimRankOptions());
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  EXPECT_NE(dynamic_cast<DenseSimRankEngine*>(dense->get()), nullptr);
+  auto linearized = CreateSimRankEngine("linearized", SimRankOptions());
+  ASSERT_TRUE(linearized.ok()) << linearized.status().ToString();
+  EXPECT_NE(dynamic_cast<LinearizedSimRankEngine*>(linearized->get()),
+            nullptr);
+  auto sparse = CreateSimRankEngine("sparse", SimRankOptions());
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  EXPECT_NE(dynamic_cast<SparseSimRankEngine*>(sparse->get()), nullptr);
+
+  auto unknown = CreateSimRankEngine("", SimRankOptions());
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find(
+                "(registered: dense, linearized, sparse)"),
+            std::string::npos)
+      << unknown.status().message();
+}
 
 TEST(EngineRegistryTest, UnknownNameListsRegisteredEngines) {
   auto result = CreateSimRankEngine("quadratic", SimRankOptions());

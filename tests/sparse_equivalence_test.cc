@@ -438,47 +438,52 @@ LevelRun RunAtActiveLevel(const char* engine_name,
 // engine's on-demand rows do too. Each supported level is forced
 // programmatically and compared against the scalar run; the unsupported
 // ones are skipped (the CI simd-scalar-fallback leg plus vector-capable
-// runners cover all).
-TEST(SimdDispatchEquivalenceTest, ByteIdenticalAcrossDispatchLevels) {
+// runners cover all). One test per engine, so a failure names it.
+void ExpectByteIdenticalAcrossLevels(
+    const char* engine, const std::vector<SimRankVariant>& variants) {
   BipartiteGraph graph = SeededGraph();
   const simd::SimdLevel before = simd::ActiveSimdLevel();
-  const struct {
-    const char* engine;
-    std::vector<SimRankVariant> variants;
-  } cases[] = {
-      {"sparse",
-       {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
-        SimRankVariant::kWeighted}},
-      {"dense",
-       {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
-        SimRankVariant::kWeighted}},
-      {"linearized", {SimRankVariant::kSimRank, SimRankVariant::kEvidence}},
-  };
-  for (const auto& c : cases) {
-    for (SimRankVariant variant : c.variants) {
-      SCOPED_TRACE(std::string(c.engine) + "/" + SimRankVariantName(variant));
-      SimRankOptions options = BaseOptions(variant);
-      ASSERT_TRUE(simd::SetSimdLevel(simd::SimdLevel::kScalar));
-      const LevelRun want = RunAtActiveLevel(c.engine, options, graph);
-      EXPECT_EQ(want.simd_level, "scalar");
-      ASSERT_GT(want.queries.size(), 0u);
-      ASSERT_GT(want.ads.size(), 0u);
-      EXPECT_EQ(want.rows.empty(), std::string(c.engine) != "linearized");
+  for (SimRankVariant variant : variants) {
+    SCOPED_TRACE(std::string(engine) + "/" + SimRankVariantName(variant));
+    SimRankOptions options = BaseOptions(variant);
+    ASSERT_TRUE(simd::SetSimdLevel(simd::SimdLevel::kScalar));
+    const LevelRun want = RunAtActiveLevel(engine, options, graph);
+    EXPECT_EQ(want.simd_level, "scalar");
+    ASSERT_GT(want.queries.size(), 0u);
+    ASSERT_GT(want.ads.size(), 0u);
+    EXPECT_EQ(want.rows.empty(), std::string(engine) != "linearized");
 
-      for (simd::SimdLevel level :
-           {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
-        if (!simd::SimdLevelSupported(level)) continue;
-        SCOPED_TRACE(simd::SimdLevelName(level));
-        ASSERT_TRUE(simd::SetSimdLevel(level));
-        const LevelRun got = RunAtActiveLevel(c.engine, options, graph);
-        EXPECT_EQ(got.simd_level, simd::SimdLevelName(level));
-        EXPECT_TRUE(got.queries == want.queries);
-        EXPECT_TRUE(got.ads == want.ads);
-        EXPECT_TRUE(got.rows == want.rows);
-      }
+    for (simd::SimdLevel level :
+         {simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512}) {
+      if (!simd::SimdLevelSupported(level)) continue;
+      SCOPED_TRACE(simd::SimdLevelName(level));
+      ASSERT_TRUE(simd::SetSimdLevel(level));
+      const LevelRun got = RunAtActiveLevel(engine, options, graph);
+      EXPECT_EQ(got.simd_level, simd::SimdLevelName(level));
+      EXPECT_TRUE(got.queries == want.queries);
+      EXPECT_TRUE(got.ads == want.ads);
+      EXPECT_TRUE(got.rows == want.rows);
     }
   }
   ASSERT_TRUE(simd::SetSimdLevel(before));
+}
+
+TEST(SimdDispatchEquivalenceTest, ByteIdenticalAcrossDispatchLevels) {
+  ExpectByteIdenticalAcrossLevels(
+      "sparse", {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
+                 SimRankVariant::kWeighted});
+}
+
+TEST(SimdDispatchEquivalenceTest, DenseByteIdenticalAcrossDispatchLevels) {
+  ExpectByteIdenticalAcrossLevels(
+      "dense", {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
+                SimRankVariant::kWeighted});
+}
+
+TEST(SimdDispatchEquivalenceTest,
+     LinearizedByteIdenticalAcrossDispatchLevels) {
+  ExpectByteIdenticalAcrossLevels(
+      "linearized", {SimRankVariant::kSimRank, SimRankVariant::kEvidence});
 }
 
 // Zero pruning keeps every reachable pair alive; the candidate-superset
