@@ -5,7 +5,6 @@
 //
 //   bench_perf_components [--smoke] [--repeats N]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/pearson.h"
@@ -35,14 +34,9 @@ BipartiteGraph SharedGraph(bool smoke) {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "1" : "3"), nullptr,
-      10);
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_components [--smoke] [--repeats N]\n");
-    return 2;
-  }
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "1" : "3",
+      "bench_perf_components [--smoke] [--repeats N]");
 
   BipartiteGraph graph = SharedGraph(smoke);
   bench::PerfTable table(

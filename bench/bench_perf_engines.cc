@@ -1,7 +1,7 @@
 // Engine micro-benchmarks on the vendored timing harness (perf_harness.h,
-// no google-benchmark dependency): dense vs sparse across graph sizes,
-// the three variants on the sparse engine, and a pruning-threshold sweep
-// with the surviving pair counts.
+// no google-benchmark dependency): the sparse engine across graph sizes,
+// its three variants, and a pruning-threshold sweep with the surviving
+// pair counts.
 //
 //   bench_perf_engines [--smoke] [--repeats N] [--json <path>]
 //
@@ -11,10 +11,8 @@
 // the other benches' reports and diffs the result against the committed
 // baseline BENCH_PR9.json at the repo root.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
-#include "core/dense_engine.h"
 #include "core/sparse_engine.h"
 #include "perf_harness.h"
 #include "synth/click_graph_generator.h"
@@ -52,33 +50,11 @@ std::string GraphNote(const BipartiteGraph& graph) {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "1" : "3"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "1" : "3",
+      "bench_perf_engines [--smoke] [--repeats N] [--json <path>]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_engines [--smoke] [--repeats N] "
-                 "[--json <path>]\n");
-    return 2;
-  }
   bench::JsonReport report;
-
-  // Dense engine across sizes.
-  {
-    bench::PerfTable table("dense engine, plain SimRank", repeats);
-    for (size_t size : smoke ? std::vector<size_t>{300}
-                             : std::vector<size_t>{500, 1500}) {
-      BipartiteGraph graph = BenchGraph(size);
-      table.Run("dense/" + std::to_string(size), [&] {
-        DenseSimRankEngine engine(BenchOptions(SimRankVariant::kSimRank));
-        SRPP_CHECK(engine.Run(graph).ok());
-        return GraphNote(graph);
-      });
-    }
-    table.Print();
-    report.Add(table);
-  }
 
   // Sparse engine across sizes.
   {

@@ -9,7 +9,6 @@
 //   bench_perf_kernels [--smoke] [--repeats N] [--json <path>]
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -79,16 +78,10 @@ struct LevelUnderTest {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "3" : "7"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "3" : "7",
+      "bench_perf_kernels [--smoke] [--repeats N] [--json <path>]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_kernels [--smoke] [--repeats N] "
-                 "[--json <path>]\n");
-    return 2;
-  }
 
   const simd::KernelTable* scalar =
       simd::KernelsFor(simd::SimdLevel::kScalar);
@@ -119,7 +112,6 @@ int Main(int argc, char** argv) {
       AscendingList(max_len + pool_windows * 8, 0x1111);
   std::vector<uint32_t> list_b =
       AscendingList(max_len + pool_windows * 8, 0x2222);
-  std::vector<double> axpy_out(max_len, 0.0);
 
   bench::PerfTable table(
       StringPrintf("SIMD kernels, per-level (dispatched: %s)",
@@ -151,13 +143,6 @@ int Main(int argc, char** argv) {
                                           weights.data(), 0.8125, len);
         }
         g_sink_d = acc;
-        return note;
-      });
-      table.Run(case_name("axpy", level.label, len), [&] {
-        for (size_t i = 0; i < iters; ++i) {
-          kern.axpy(0x1p-20, dense.data(), axpy_out.data(), len);
-        }
-        g_sink_d = axpy_out[0];
         return note;
       });
       table.Run(case_name("pearson", level.label, len), [&] {
@@ -194,7 +179,7 @@ int Main(int argc, char** argv) {
   if (levels.size() > 1) {
     const size_t summary_len = 1024;
     for (const char* kernel :
-         {"gather_sum", "gather_sum_weighted", "axpy", "pearson",
+         {"gather_sum", "gather_sum_weighted", "pearson",
           "count_common_sorted"}) {
       uint64_t scalar_ns = 0;
       uint64_t simd_ns = 0;

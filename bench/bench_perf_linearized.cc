@@ -8,7 +8,6 @@
 //
 //   bench_perf_linearized [--smoke] [--repeats N] [--json <path>]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,16 +51,11 @@ std::string GraphNote(const BipartiteGraph& graph) {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "1" : "3"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "1" : "3",
+      "bench_perf_linearized [--smoke] [--repeats N] [--json "
+      "<path>]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_linearized [--smoke] [--repeats N] "
-                 "[--json <path>]\n");
-    return 2;
-  }
   bench::JsonReport report;
 
   // One-off setup cost: diagonal-correction estimation across sizes.

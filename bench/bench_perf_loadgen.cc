@@ -255,17 +255,11 @@ int Main(int argc, char** argv) {
     std::printf("%s\n", world.manifest_path.c_str());
     return 0;
   }
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "2" : "3"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "2" : "3",
+      "bench_perf_loadgen [--smoke] [--repeats N] [--json <path>] "
+      "[--connect HOST:PORT] [--make-world STEM]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_loadgen [--smoke] [--repeats N] "
-                 "[--json <path>] [--connect HOST:PORT] "
-                 "[--make-world STEM]\n");
-    return 2;
-  }
 
   BenchWorld world(smoke ? 150 : 300);
   DaemonOptions daemon_options;

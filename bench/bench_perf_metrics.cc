@@ -10,7 +10,6 @@
 //   bench_perf_metrics [--smoke] [--repeats N] [--json <path>]
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -46,16 +45,10 @@ void Populate(MetricsRegistry* registry, size_t tenants) {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "3" : "7"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "3" : "7",
+      "bench_perf_metrics [--smoke] [--repeats N] [--json <path>]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_metrics [--smoke] [--repeats N] "
-                 "[--json <path>]\n");
-    return 2;
-  }
   const size_t kOpsPerRep = smoke ? 200000 : 2000000;
   const size_t kScrapesPerRep = smoke ? 50 : 500;
   const size_t kTracesPerRep = smoke ? 50000 : 500000;

@@ -34,16 +34,11 @@ SimilarityMatrix BenchMatrix(size_t num_nodes, size_t target_pairs) {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "2" : "5"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "2" : "5",
+      "bench_perf_snapshot [--smoke] [--repeats N] [--json "
+      "<path>]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_snapshot [--smoke] [--repeats N] "
-                 "[--json <path>]\n");
-    return 2;
-  }
 
   const size_t num_nodes = smoke ? 2000 : 8000;
   const size_t target_pairs = smoke ? 200000 : 2000000;

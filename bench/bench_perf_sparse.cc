@@ -7,7 +7,6 @@
 //
 //   bench_perf_sparse [--smoke] [--repeats N] [--json <path>]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -50,16 +49,10 @@ std::string GraphNote(const BipartiteGraph& graph) {
 
 int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "1" : "3"), nullptr,
-      10);
+  const size_t repeats = bench::RepeatsFlag(
+      argc, argv, smoke ? "1" : "3",
+      "bench_perf_sparse [--smoke] [--repeats N] [--json <path>]");
   const char* json_path = bench::FlagValue(argc, argv, "--json", "");
-  if (repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_sparse [--smoke] [--repeats N] "
-                 "[--json <path>]\n");
-    return 2;
-  }
   bench::JsonReport report;
 
   // Plain SimRank across sizes, 10 iterations.

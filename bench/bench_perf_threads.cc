@@ -1,7 +1,7 @@
-// Thread-scaling benchmark for the SimRank engines: runs the dense and
-// sparse engines across a list of thread counts on a seeded synthetic
-// click graph, prints per-count wall time and speedup, and cross-checks
-// that every thread count exported bit-identical scores (exit 1 if not).
+// Thread-scaling benchmark for the sparse SimRank engine: runs it across
+// a list of thread counts on a seeded synthetic click graph, prints
+// per-count wall time and speedup, and cross-checks that every thread
+// count exported bit-identical scores (exit 1 if not).
 //
 // Vendored timing harness (perf_harness.h) — deliberately no
 // google-benchmark dependency so CI can always execute it.
@@ -11,11 +11,9 @@
 // --smoke shrinks the graphs and repeats so the binary finishes in a few
 // seconds; CI runs it as an executable smoke test.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "core/dense_engine.h"
 #include "core/sparse_engine.h"
 #include "perf_harness.h"
 #include "synth/click_graph_generator.h"
@@ -57,7 +55,6 @@ struct Sample {
   SimilarityMatrix ad_scores;
 };
 
-template <typename Engine>
 std::vector<Sample> RunScaling(const BipartiteGraph& graph,
                                const std::vector<size_t>& thread_counts,
                                size_t repeats) {
@@ -66,7 +63,7 @@ std::vector<Sample> RunScaling(const BipartiteGraph& graph,
     Sample sample;
     sample.threads = threads;
     for (size_t r = 0; r < repeats; ++r) {
-      Engine engine(BenchOptions(threads));
+      SparseSimRankEngine engine(BenchOptions(threads));
       Stopwatch timer;
       SRPP_CHECK(engine.Run(graph).ok());
       double elapsed = timer.ElapsedSeconds();
@@ -85,11 +82,9 @@ std::vector<Sample> RunScaling(const BipartiteGraph& graph,
 
 // Prints the table and returns false when any thread count diverged from
 // the single-thread export (the determinism guarantee).
-bool Report(const char* engine_name, const BipartiteGraph& graph,
-            const std::vector<Sample>& samples) {
-  TablePrinter table(StringPrintf("%s engine, %zu queries / %zu edges",
-                                  engine_name, graph.num_queries(),
-                                  graph.num_edges()));
+bool Report(const BipartiteGraph& graph, const std::vector<Sample>& samples) {
+  TablePrinter table(StringPrintf("sparse engine, %zu queries / %zu edges",
+                                  graph.num_queries(), graph.num_edges()));
   table.SetHeader({"threads", "best ms", "speedup", "identical"});
   bool all_identical = true;
   const Sample& base = samples.front();
@@ -113,27 +108,17 @@ int Main(int argc, char** argv) {
   bool smoke = bench::HasFlag(argc, argv, "--smoke");
   std::vector<size_t> thread_counts = bench::ParseSizeList(
       bench::FlagValue(argc, argv, "--threads", smoke ? "1,2" : "1,2,4,8"));
-  size_t repeats = std::strtoull(
-      bench::FlagValue(argc, argv, "--repeats", smoke ? "1" : "3"), nullptr,
-      10);
-  if (thread_counts.empty() || repeats == 0) {
-    std::fprintf(stderr,
-                 "usage: bench_perf_threads [--smoke] [--threads 1,2,4,8] "
-                 "[--repeats N]\n");
+  const char* usage =
+      "bench_perf_threads [--smoke] [--threads 1,2,4,8] [--repeats N]";
+  const size_t repeats =
+      bench::RepeatsFlag(argc, argv, smoke ? "1" : "3", usage);
+  if (thread_counts.empty()) {
+    std::fprintf(stderr, "usage: %s\n", usage);
     return 2;
   }
 
-  BipartiteGraph dense_graph = BenchGraph(smoke ? 300 : 1200);
-  BipartiteGraph sparse_graph = BenchGraph(smoke ? 500 : 4000);
-
-  bool ok = true;
-  ok &= Report("dense", dense_graph,
-               RunScaling<DenseSimRankEngine>(dense_graph, thread_counts,
-                                              repeats));
-  ok &= Report("sparse", sparse_graph,
-               RunScaling<SparseSimRankEngine>(sparse_graph, thread_counts,
-                                               repeats));
-  if (!ok) {
+  BipartiteGraph graph = BenchGraph(smoke ? 500 : 4000);
+  if (!Report(graph, RunScaling(graph, thread_counts, repeats))) {
     std::fprintf(stderr,
                  "FAIL: exported scores differ across thread counts\n");
     return 1;

@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "core/closed_form.h"
-#include "core/dense_engine.h"
 #include "core/sample_graphs.h"
+#include "core/sparse_engine.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -26,8 +26,10 @@ int main() {
     SimRankOptions options;
     options.variant = SimRankVariant::kEvidence;
     options.iterations = k;
-    DenseSimRankEngine e22(options);
-    DenseSimRankEngine e12(options);
+    options.prune_threshold = 0.0;  // exact mode: nothing pruned, no cap
+    options.max_partners_per_node = 0;
+    SparseSimRankEngine e22(options);
+    SparseSimRankEngine e12(options);
     if (!e22.Run(k22).ok() || !e12.Run(k12).ok()) return 1;
     double s22 = e22.QueryScore(*k22.FindQuery("camera"),
                                 *k22.FindQuery("digital camera"));

@@ -39,17 +39,31 @@ inline bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-// Parses "1,2,4,8" into a list of sizes.
-inline std::vector<size_t> ParseSizeList(const char* spec) {
+// Parses "1,2,4,8" into a list of sizes. Every element must be a plain
+// decimal count: a malformed one ("1,x", "1,,2", "-1") empties the list,
+// so the caller rejects the whole flag.
+inline std::vector<size_t> ParseSizeList(const std::string& spec) {
   std::vector<size_t> values;
-  for (const char* p = spec; *p != '\0';) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(p, &end, 10);
-    if (end == p) break;
-    values.push_back(static_cast<size_t>(value));
-    p = (*end == ',') ? end + 1 : end;
+  for (const std::string& element : SplitString(spec, ',')) {
+    size_t value = 0;
+    if (!ParseSize(element, &value)) return {};
+    values.push_back(value);
   }
   return values;
+}
+
+// Strict --repeats: a positive decimal count or `fallback` when absent.
+// Anything else ("0", "-1", "3x") prints `usage` and exits 2 instead of
+// wrapping to 2^64 - 1 or reading a prefix.
+inline size_t RepeatsFlag(int argc, char** argv, const char* fallback,
+                          const char* usage) {
+  size_t repeats = 0;
+  if (!ParseSize(FlagValue(argc, argv, "--repeats", fallback), &repeats) ||
+      repeats == 0) {
+    std::fprintf(stderr, "usage: %s\n", usage);
+    std::exit(2);
+  }
+  return repeats;
 }
 
 // Runs `fn` `repeats` times and returns every wall-clock sample in

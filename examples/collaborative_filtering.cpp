@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/dense_engine.h"
+#include "core/sparse_engine.h"
 #include "graph/graph_builder.h"
 #include "util/string_util.h"
 
@@ -51,7 +51,9 @@ int main() {
   SimRankOptions options;
   options.variant = SimRankVariant::kWeighted;
   options.iterations = 15;
-  DenseSimRankEngine engine(options);
+  options.prune_threshold = 0.0;  // exact mode: nothing pruned, no cap
+  options.max_partners_per_node = 0;
+  SparseSimRankEngine engine(options);
   if (Status status = engine.Run(graph); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;

@@ -8,9 +8,9 @@
 //   ./build/examples/example_quickstart
 #include <cstdio>
 
-#include "core/dense_engine.h"
 #include "core/pearson.h"
 #include "core/sample_graphs.h"
+#include "core/sparse_engine.h"
 #include "graph/graph_builder.h"
 #include "rewrite/rewrite_service.h"
 #include "util/string_util.h"
@@ -45,7 +45,8 @@ int main() {
   std::printf("Click graph: %zu queries, %zu ads, %zu edges\n\n",
               graph.num_queries(), graph.num_ads(), graph.num_edges());
 
-  // 2. Run the three SimRank variants.
+  // 2. Run the three SimRank variants on the sparse engine in exact mode
+  //    (no score pruning, no per-node partner cap).
   const SimRankVariant variants[] = {SimRankVariant::kSimRank,
                                      SimRankVariant::kEvidence,
                                      SimRankVariant::kWeighted};
@@ -54,7 +55,9 @@ int main() {
     SimRankOptions options;
     options.variant = variant;
     options.iterations = 25;  // effectively converged on this tiny graph
-    DenseSimRankEngine engine(options);
+    options.prune_threshold = 0.0;
+    options.max_partners_per_node = 0;
+    SparseSimRankEngine engine(options);
     if (Status status = engine.Run(graph); !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -96,11 +99,13 @@ int main() {
   SimRankOptions options;
   options.variant = SimRankVariant::kWeighted;
   options.iterations = 25;
+  options.prune_threshold = 0.0;
+  options.max_partners_per_node = 0;
   RewritePipelineOptions pipeline;
   pipeline.apply_bid_filter = false;
   auto service = RewriteServiceBuilder()
                      .WithGraph(&graph)
-                     .WithEngine("dense", options)
+                     .WithEngine("sparse", options)
                      .WithMinScore(1e-9)
                      .WithPipelineOptions(pipeline)
                      .Build();

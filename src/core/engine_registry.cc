@@ -3,7 +3,6 @@
 #include <map>
 #include <utility>
 
-#include "core/dense_engine.h"
 #include "core/linearized_engine.h"
 #include "core/sparse_engine.h"
 #include "util/string_util.h"
@@ -35,12 +34,6 @@ Registry& GlobalRegistry() {
     // thread-safety analysis (rightly) cannot prove that; the lock is
     // one-time and keeps the seeding inside the annotated discipline.
     MutexLock lock(&r->mu);
-    r->factories.emplace(
-        "dense", [](const SimRankOptions& options)
-                     -> Result<std::unique_ptr<SimRankEngine>> {
-          return std::unique_ptr<SimRankEngine>(
-              std::make_unique<DenseSimRankEngine>(options));
-        });
     r->factories.emplace(
         "linearized", [](const SimRankOptions& options)
                           -> Result<std::unique_ptr<SimRankEngine>> {

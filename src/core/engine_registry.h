@@ -2,10 +2,10 @@
 /// @brief String-keyed registry of SimRank engine factories.
 ///
 /// The registry is the open seam through which every engine reaches the
-/// serving layer: built-ins ("dense", "sparse") are registered on first
-/// use, and new implementations (a linearized engine, a test stub) plug in
-/// with RegisterSimRankEngine — no edits to core headers, no closed enum
-/// to extend. All API boundaries that pick an engine (the CLI, the
+/// serving layer: built-ins ("sparse", "linearized") are registered on
+/// first use, and new implementations (a test stub, say) plug in with
+/// RegisterSimRankEngine — no edits to core headers, no closed enum to
+/// extend. All API boundaries that pick an engine (the CLI, the
 /// experiment runner, RewriteServiceBuilder) select by name through this
 /// registry.
 #ifndef SIMRANKPP_CORE_ENGINE_REGISTRY_H_

@@ -44,7 +44,7 @@ Status LinearizedSimRankEngine::BindGraph(const BipartiteGraph& graph) {
     return Status::NotImplemented(
         "the linearized engine supports plain and evidence-based Simrank "
         "only: weighted Simrank's evidence factors enter the recursion "
-        "itself and do not linearize (use the dense or sparse engine)");
+        "itself and do not linearize (use the sparse engine)");
   }
   double decay = options_.c1 * options_.c2;
   if (decay >= 1.0) {
@@ -56,7 +56,7 @@ Status LinearizedSimRankEngine::BindGraph(const BipartiteGraph& graph) {
 
   // Flatten both adjacency directions. Multi-edges stay as repeated
   // neighbor entries: plain SimRank's uniform 1/N transition is over edge
-  // endpoints, exactly like the dense engine's per-edge loops.
+  // endpoints, exactly like the sparse engine's per-edge loops.
   auto build_side = [&graph](bool ad_side) {
     SideAdjacency adj;
     size_t n = ad_side ? graph.num_ads() : graph.num_queries();

@@ -20,7 +20,7 @@
 ///
 /// Run() keeps the engine a drop-in registry citizen ("linearized"): it
 /// loops the single-source evaluation over every node, materializing the
-/// same exportable score sets as the dense/sparse engines for small
+/// same exportable score sets as the sparse engine for small
 /// graphs and snapshot round-trips.
 #ifndef SIMRANKPP_CORE_LINEARIZED_ENGINE_H_
 #define SIMRANKPP_CORE_LINEARIZED_ENGINE_H_

@@ -1,12 +1,11 @@
 /// @file simrank_engine.h
 /// @brief Abstract interface shared by the SimRank computation engines.
 ///
-/// Three implementations exist:
-///  - DenseSimRankEngine: exact dense-matrix iteration, O((|Q|+|A|)^2)
-///    memory; the reference implementation for small graphs and for
-///    validating the sparse engine.
+/// Two implementations exist:
 ///  - SparseSimRankEngine: threshold-pruned pair maps, scaling to the
-///    Table-5-sized subgraphs the evaluation uses.
+///    Table-5-sized subgraphs the evaluation uses; with prune_threshold 0
+///    and max_partners_per_node 0 it is the exact fixed-point iteration
+///    the paper's tables are computed with.
 ///  - LinearizedSimRankEngine: linear-system reformulation with
 ///    single-source rows answerable on demand (also an OnDemandScorer;
 ///    plain / evidence variants only — weighted does not linearize).
@@ -83,7 +82,7 @@ class OnDemandScorer {
 };
 
 // Engine instantiation is name-based: see core/engine_registry.h for
-// CreateSimRankEngine("dense" | "sparse" | ..., options) and for
+// CreateSimRankEngine("sparse" | "linearized" | ..., options) and for
 // registering new implementations without touching this header.
 
 }  // namespace simrankpp

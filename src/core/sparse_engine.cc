@@ -705,10 +705,6 @@ double SparseSimRankEngine::AdEvidenceFactor(AdId a1, AdId a2) const {
                            options_.zero_evidence_floor);
 }
 
-double SparseSimRankEngine::RawQueryScore(QueryId q1, QueryId q2) const {
-  return query_scores_.Lookup(q1, q2);
-}
-
 double SparseSimRankEngine::QueryScore(QueryId q1, QueryId q2) const {
   if (q1 == q2) return 1.0;
   double raw = query_scores_.Lookup(q1, q2);

@@ -43,9 +43,6 @@ class SparseSimRankEngine : public SimRankEngine {
   const SimRankStats& stats() const override { return stats_; }
   const SimRankOptions& options() const override { return options_; }
 
-  /// \brief Raw (pre-evidence) iterated score between queries.
-  double RawQueryScore(QueryId q1, QueryId q2) const;
-
  private:
   /// CSR rows of candidate partners: for node u, the sorted v > u that u
   /// can ever share score mass with. The two-hop base rows are a pure

@@ -53,18 +53,6 @@ double GatherSumWeightedImpl(const double* dense, const std::uint32_t* idx,
 }
 
 template <typename Traits>
-void AxpyImpl(double a, const double* x, double* y, std::size_t n) {
-  const typename Traits::VecD va = Traits::Broadcast(a);
-  std::size_t p = 0;
-  for (; p + kLanes <= n; p += kLanes) {
-    const typename Traits::VecD vx = Traits::LoadU(x + p);
-    const typename Traits::VecD vy = Traits::LoadU(y + p);
-    Traits::StoreU(Traits::Add(vy, Traits::Mul(va, vx)), y + p);
-  }
-  for (; p < n; ++p) y[p] += a * x[p];
-}
-
-template <typename Traits>
 void PearsonAccumulateImpl(const double* w1, const double* w2, std::size_t n,
                            double mean1, double mean2, double* num,
                            double* den1, double* den2) {
@@ -106,7 +94,6 @@ KernelTable MakeKernelTable() {
   table.name = Traits::kName;
   table.gather_sum = &GatherSumImpl<Traits>;
   table.gather_sum_weighted = &GatherSumWeightedImpl<Traits>;
-  table.axpy = &AxpyImpl<Traits>;
   table.pearson_accumulate = &PearsonAccumulateImpl<Traits>;
   table.count_common_sorted = &Traits::CountCommonSorted;
   return table;

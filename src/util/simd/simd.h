@@ -90,10 +90,6 @@ struct KernelTable {
   double (*gather_sum_weighted)(const double* dense, const std::uint32_t* idx,
                                 const double* w, double scale, std::size_t n);
 
-  /// y[p] += a * x[p] for p in [0, n)  (element-wise; bit-identical at
-  /// every level)
-  void (*axpy)(double a, const double* x, double* y, std::size_t n);
-
   /// Pearson accumulation over paired weights: writes (not adds)
   ///   *num  = sum (w1[p]-mean1)*(w2[p]-mean2)
   ///   *den1 = sum (w1[p]-mean1)^2

@@ -85,7 +85,6 @@ struct ScalarTraits {
   static void StoreLanes(VecD v, double* out) {
     for (std::size_t j = 0; j < kLanes; ++j) out[j] = v.lane[j];
   }
-  static void StoreU(VecD v, double* p) { StoreLanes(v, p); }
 
   /// Classic two-pointer zipper over strictly ascending arrays.
   static std::size_t CountCommonSorted(const std::uint32_t* a, std::size_t na,
@@ -159,7 +158,6 @@ struct Avx2Traits {
     _mm256_storeu_pd(out, v.lo);
     _mm256_storeu_pd(out + 4, v.hi);
   }
-  static void StoreU(VecD v, double* p) { StoreLanes(v, p); }
 
   /// One cyclic rotation of vb by R+1 lanes, compared against va. The
   /// rotation index vector is a compile-time constant, so every rotation
@@ -239,7 +237,6 @@ struct Avx512Traits {
   static VecD Sub(VecD a, VecD b) { return _mm512_sub_pd(a, b); }
   static VecD Mul(VecD a, VecD b) { return _mm512_mul_pd(a, b); }
   static void StoreLanes(VecD v, double* out) { _mm512_storeu_pd(out, v); }
-  static void StoreU(VecD v, double* p) { _mm512_storeu_pd(p, v); }
 
   /// The 8-wide AVX2 block-rotation zipper beats a 16-wide AVX-512 one
   /// on this workload: VPCMPD writes a mask register and competes with

@@ -71,6 +71,26 @@ TEST(CliArgsTest, ComputeRejectsUnknownSide) {
             2);
 }
 
+// A name the registry does not know fails the run, and the error lists
+// the engines that are registered.
+TEST(CliArgsTest, ComputeRejectsUnregisteredEngine) {
+  const std::string graph = TempPath("unregistered_engine.tsv");
+  ASSERT_EQ(RunCliWith({"generate", "--queries", "40", "--ads", "15", "--seed",
+                        "3", "--out", graph}),
+            0);
+  ::testing::internal::CaptureStderr();
+  const int code = RunCliWith({"compute", graph, "--snapshot-out",
+                               TempPath("unregistered_engine.snap"),
+                               "--engine", "dense"});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  std::remove(graph.c_str());
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(err.find("unknown engine \"dense\" (registered: linearized, "
+                     "sparse)"),
+            std::string::npos)
+      << err;
+}
+
 TEST(CliArgsTest, ManifestInfoOnMissingFileIsRuntimeError) {
   EXPECT_EQ(RunCliWith({"manifest-info", TempPath("no_manifest.txt")}), 1);
 }

@@ -1,9 +1,9 @@
 // Cross-engine agreement suite: the linearized engine's truncated-series
-// scores pinned against the naive counts, the converged dense/sparse
-// iterations, the K_{m,n} closed forms, and a random-walk Monte-Carlo
+// scores pinned against the naive counts, the converged exact-mode sparse
+// iteration, the K_{m,n} closed forms, and a random-walk Monte-Carlo
 // sanity point. This is the contract behind `compute --engine linearized`
 // and the on-demand serving path: any row the linearized engine answers
-// at query time must match what the precompute engines would have
+// at query time must match what the sparse engine would have
 // snapshotted, within the tolerance documented here.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/closed_form.h"
-#include "core/dense_engine.h"
 #include "core/linearized_engine.h"
 #include "core/naive_similarity.h"
 #include "core/random_walk.h"
@@ -27,13 +26,13 @@ namespace {
 // iteration: the truncated series tail, bounded by
 // (C1*C2)^(T+1) / (1 - C1*C2) ≈ 2.3e-4 at the paper defaults
 // (C1 = C2 = 0.8, T = 20); the diagonal-estimation residual
-// (linearized_diag_tolerance, 1e-4); and the reference engines' own
+// (linearized_diag_tolerance, 1e-4); and the sparse reference's own
 // remaining iteration error at 25 iterations (0.64^25 ≈ 1.4e-5). 1e-3
 // covers their sum with headroom.
 constexpr double kAgreementTolerance = 1e-3;
 
-// Iterations after which the dense/sparse fixed-point iteration is
-// converged well beyond kAgreementTolerance.
+// Iterations after which the exact fixed-point iteration is converged
+// well beyond kAgreementTolerance.
 constexpr size_t kConvergedIterations = 25;
 
 SimRankOptions ReferenceOptions(SimRankVariant variant) {
@@ -68,35 +67,29 @@ const SampleGraphCase kSampleGraphs[] = {
 class SampleGraphAgreementTest
     : public ::testing::TestWithParam<SampleGraphCase> {};
 
-// ----------------------------------------- linearized vs dense vs sparse
+// ------------------------------------------------- linearized vs sparse
 
 TEST_P(SampleGraphAgreementTest, LinearizedMatchesConvergedEngines) {
   BipartiteGraph graph = GetParam().make();
   for (SimRankVariant variant :
        {SimRankVariant::kSimRank, SimRankVariant::kEvidence}) {
     SimRankOptions options = ReferenceOptions(variant);
-    DenseSimRankEngine dense(options);
     SparseSimRankEngine sparse(options);
     LinearizedSimRankEngine linearized(options);
-    ASSERT_TRUE(dense.Run(graph).ok());
     ASSERT_TRUE(sparse.Run(graph).ok());
     ASSERT_TRUE(linearized.Run(graph).ok());
 
     for (QueryId q1 = 0; q1 < graph.num_queries(); ++q1) {
       for (QueryId q2 = 0; q2 < graph.num_queries(); ++q2) {
-        double expected = dense.QueryScore(q1, q2);
-        EXPECT_NEAR(linearized.QueryScore(q1, q2), expected,
+        EXPECT_NEAR(linearized.QueryScore(q1, q2), sparse.QueryScore(q1, q2),
                     kAgreementTolerance)
             << GetParam().label << " variant=" << static_cast<int>(variant)
             << " queries " << q1 << "," << q2;
-        EXPECT_NEAR(sparse.QueryScore(q1, q2), expected,
-                    kAgreementTolerance)
-            << GetParam().label << " queries " << q1 << "," << q2;
       }
     }
     for (AdId a1 = 0; a1 < graph.num_ads(); ++a1) {
       for (AdId a2 = 0; a2 < graph.num_ads(); ++a2) {
-        EXPECT_NEAR(linearized.AdScore(a1, a2), dense.AdScore(a1, a2),
+        EXPECT_NEAR(linearized.AdScore(a1, a2), sparse.AdScore(a1, a2),
                     kAgreementTolerance)
             << GetParam().label << " variant=" << static_cast<int>(variant)
             << " ads " << a1 << "," << a2;
@@ -191,19 +184,19 @@ TEST(ClosedFormAgreementTest, EnginesMatchCompleteBipartiteRecurrence) {
     CompleteBipartiteScores expected = SimRankOnCompleteBipartite(
         shape.m, shape.n, kConvergedIterations, 0.8, 0.8);
     SimRankOptions options = ReferenceOptions(SimRankVariant::kSimRank);
-    DenseSimRankEngine dense(options);
+    SparseSimRankEngine sparse(options);
     LinearizedSimRankEngine linearized(options);
-    ASSERT_TRUE(dense.Run(graph).ok());
+    ASSERT_TRUE(sparse.Run(graph).ok());
     ASSERT_TRUE(linearized.Run(graph).ok());
     if (shape.m >= 2) {
-      EXPECT_NEAR(dense.QueryScore(0, 1), expected.v1_pair, 1e-9)
+      EXPECT_NEAR(sparse.QueryScore(0, 1), expected.v1_pair, 1e-9)
           << "K" << shape.m << "," << shape.n;
       EXPECT_NEAR(linearized.QueryScore(0, 1), expected.v1_pair,
                   kAgreementTolerance)
           << "K" << shape.m << "," << shape.n;
     }
     if (shape.n >= 2) {
-      EXPECT_NEAR(dense.AdScore(0, 1), expected.v2_pair, 1e-9)
+      EXPECT_NEAR(sparse.AdScore(0, 1), expected.v2_pair, 1e-9)
           << "K" << shape.m << "," << shape.n;
       EXPECT_NEAR(linearized.AdScore(0, 1), expected.v2_pair,
                   kAgreementTolerance)

@@ -1,17 +1,25 @@
 // Evidence metric tests (Section 7): both formulas, the Table 4
 // per-iteration reproduction, and read-side semantics of the
-// evidence-based variant.
+// evidence-based variant, all on the sparse engine in exact mode (no
+// pruning, no partner cap).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/closed_form.h"
-#include "core/dense_engine.h"
 #include "core/evidence.h"
 #include "core/sample_graphs.h"
+#include "core/sparse_engine.h"
 
 namespace simrankpp {
 namespace {
+
+SimRankOptions ExactOptions() {
+  SimRankOptions options;
+  options.prune_threshold = 0.0;
+  options.max_partners_per_node = 0;
+  return options;
+}
 
 TEST(EvidenceTest, GeometricFormulaValues) {
   // Eq. 7.3: sum_{i=1..n} 2^-i.
@@ -88,14 +96,14 @@ struct Table4Case {
 
 class Table4Test : public ::testing::TestWithParam<Table4Case> {};
 
-TEST_P(Table4Test, DenseEngineMatchesPrintedValues) {
-  SimRankOptions options;
+TEST_P(Table4Test, ExactModeMatchesPrintedValues) {
+  SimRankOptions options = ExactOptions();
   options.variant = SimRankVariant::kEvidence;
   options.iterations = GetParam().iterations;
   BipartiteGraph k22 = MakeFigure4K22();
   BipartiteGraph k12 = MakeFigure4K12();
-  DenseSimRankEngine e22(options);
-  DenseSimRankEngine e12(options);
+  SparseSimRankEngine e22(options);
+  SparseSimRankEngine e12(options);
   ASSERT_TRUE(e22.Run(k22).ok());
   ASSERT_TRUE(e12.Run(k12).ok());
   EXPECT_NEAR(e22.QueryScore(*k22.FindQuery("camera"),
@@ -123,14 +131,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EvidenceVariantTest, EvidenceMultipliesPlainScores) {
   BipartiteGraph graph = MakeFigure3Graph();
-  SimRankOptions plain_options;
+  SimRankOptions plain_options = ExactOptions();
   plain_options.iterations = 9;
   SimRankOptions evidence_options = plain_options;
   evidence_options.variant = SimRankVariant::kEvidence;
   evidence_options.zero_evidence_floor = 0.25;
 
-  DenseSimRankEngine plain(plain_options);
-  DenseSimRankEngine evidence(evidence_options);
+  SparseSimRankEngine plain(plain_options);
+  SparseSimRankEngine evidence(evidence_options);
   ASSERT_TRUE(plain.Run(graph).ok());
   ASSERT_TRUE(evidence.Run(graph).ok());
 
@@ -147,12 +155,12 @@ TEST(EvidenceVariantTest, EvidenceMultipliesPlainScores) {
 
 TEST(EvidenceVariantTest, ExponentialFormulaChangesScores) {
   BipartiteGraph graph = MakeFigure4K22();
-  SimRankOptions geometric;
+  SimRankOptions geometric = ExactOptions();
   geometric.variant = SimRankVariant::kEvidence;
   SimRankOptions exponential = geometric;
   exponential.evidence_formula = EvidenceFormula::kExponential;
-  DenseSimRankEngine g_engine(geometric);
-  DenseSimRankEngine e_engine(exponential);
+  SparseSimRankEngine g_engine(geometric);
+  SparseSimRankEngine e_engine(exponential);
   ASSERT_TRUE(g_engine.Run(graph).ok());
   ASSERT_TRUE(e_engine.Run(graph).ok());
   double g = g_engine.QueryScore(0, 1);
@@ -165,11 +173,11 @@ TEST(EvidenceVariantTest, ExponentialFormulaChangesScores) {
 
 TEST(EvidenceVariantTest, ZeroFloorErasesIndirectPairs) {
   BipartiteGraph graph = MakeFigure3Graph();
-  SimRankOptions options;
+  SimRankOptions options = ExactOptions();
   options.variant = SimRankVariant::kEvidence;
   options.zero_evidence_floor = 0.0;
   options.iterations = 20;
-  DenseSimRankEngine engine(options);
+  SparseSimRankEngine engine(options);
   ASSERT_TRUE(engine.Run(graph).ok());
   QueryId pc = *graph.FindQuery("pc");
   QueryId tv = *graph.FindQuery("tv");

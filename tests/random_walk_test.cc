@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/closed_form.h"
-#include "core/dense_engine.h"
 #include "core/random_walk.h"
 #include "core/sample_graphs.h"
+#include "core/sparse_engine.h"
 
 namespace simrankpp {
 namespace {
@@ -48,11 +48,13 @@ TEST(RandomWalkTest, MatchesConstantOnK12) {
   EXPECT_NEAR(estimate, 0.8, 1e-9);  // FP summation slack only
 }
 
-TEST(RandomWalkTest, MatchesDenseEngineOnFigure3) {
+TEST(RandomWalkTest, MatchesExactEngineOnFigure3) {
   BipartiteGraph graph = MakeFigure3Graph();
   SimRankOptions engine_options;
   engine_options.iterations = 60;
-  DenseSimRankEngine engine(engine_options);
+  engine_options.prune_threshold = 0.0;
+  engine_options.max_partners_per_node = 0;
+  SparseSimRankEngine engine(engine_options);
   ASSERT_TRUE(engine.Run(graph).ok());
 
   RandomWalkOptions walk_options;

@@ -288,7 +288,7 @@ TEST(ManifestTest, OnDemandScoringKeysParse) {
       "tenant lazy-warm\n"
       "  graph g.tsv\n"
       "  scoring on-demand\n"
-      "  engine dense\n"
+      "  engine sparse\n"
       "  snapshot warm.snap\n"
       "tenant eager\n"
       "  graph g.tsv\n"
@@ -308,7 +308,7 @@ TEST(ManifestTest, OnDemandScoringKeysParse) {
   // name is an open registry string at parse time.
   const ManifestEntry& warm = manifest->entries[1];
   EXPECT_TRUE(warm.on_demand);
-  EXPECT_EQ(warm.engine, "dense");
+  EXPECT_EQ(warm.engine, "sparse");
   EXPECT_EQ(warm.snapshot_path, "/base/warm.snap");
 
   const ManifestEntry& eager = manifest->entries[2];
@@ -362,7 +362,7 @@ TEST(ManifestTest, OnDemandCanonicalFormRoundTrips) {
   warm.graph_path = "g.tsv";
   warm.snapshot_path = "warm.snap";
   warm.on_demand = true;
-  warm.engine = "dense";
+  warm.engine = "sparse";
   manifest.entries.push_back(warm);
 
   std::string canonical = ManifestToString(manifest);
@@ -370,7 +370,7 @@ TEST(ManifestTest, OnDemandCanonicalFormRoundTrips) {
   // omitted entirely when there is nothing to load.
   EXPECT_EQ(canonical.find("engine linearized"), std::string::npos);
   EXPECT_NE(canonical.find("scoring on-demand"), std::string::npos);
-  EXPECT_NE(canonical.find("engine dense"), std::string::npos);
+  EXPECT_NE(canonical.find("engine sparse"), std::string::npos);
 
   Result<ServingManifest> reparsed = ParseManifest(canonical, "");
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();

@@ -593,13 +593,13 @@ TEST(OnDemandServiceTest, BuilderRejectsInvalidOnDemandConfigurations) {
   EXPECT_NE(both.status().message().find("mutually exclusive"),
             std::string::npos);
   // An engine without the OnDemandScorer capability is named in the error.
-  auto dense = RewriteServiceBuilder()
-                   .WithGraph(&graph)
-                   .WithOnDemandEngine("dense", OnDemandEngineOptions())
-                   .Build();
-  ASSERT_FALSE(dense.ok());
-  EXPECT_EQ(dense.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(dense.status().message().find("does not support on-demand"),
+  auto sparse = RewriteServiceBuilder()
+                    .WithGraph(&graph)
+                    .WithOnDemandEngine("sparse", OnDemandEngineOptions())
+                    .Build();
+  ASSERT_FALSE(sparse.ok());
+  EXPECT_EQ(sparse.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sparse.status().message().find("does not support on-demand"),
             std::string::npos);
   // Engine construction/Prepare failures surface (weighted cannot
   // linearize).

@@ -150,22 +150,6 @@ TEST_P(PerLevelTest, GatherSumWeightedBitIdenticalToScalar) {
   }
 }
 
-TEST_P(PerLevelTest, AxpyBitIdenticalToScalar) {
-  const Fixture& f = Data();
-  const double a = 0.59375;
-  for (std::size_t off = 0; off <= kMaxOffset; ++off) {
-    for (std::size_t n = 0; n <= kMaxLen; ++n) {
-      std::vector<double> y_expected(f.w2.begin(), f.w2.end());
-      std::vector<double> y_actual(f.w2.begin(), f.w2.end());
-      Scalar().axpy(a, f.w1.data() + off, y_expected.data() + off, n);
-      Level().axpy(a, f.w1.data() + off, y_actual.data() + off, n);
-      EXPECT_EQ(0, std::memcmp(y_expected.data(), y_actual.data(),
-                               y_expected.size() * sizeof(double)))
-          << Level().name << " n=" << n << " off=" << off;
-    }
-  }
-}
-
 TEST_P(PerLevelTest, PearsonAccumulateBitIdenticalToScalar) {
   const Fixture& f = Data();
   const double mean1 = 0.5;

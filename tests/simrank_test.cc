@@ -1,7 +1,7 @@
 // Core SimRank engine tests: exact reproduction of the paper's Tables 2
-// and 3, agreement with the K_{m,n} closed forms, structural invariants
-// (symmetry, range, self-similarity), convergence behavior, and dense vs
-// sparse engine agreement across variants.
+// and 3 by the sparse engine in exact mode (no pruning, no partner cap),
+// agreement with the K_{m,n} closed forms, structural invariants
+// (symmetry, range, self-similarity), convergence behavior, and pruning.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include <set>
 
 #include "core/closed_form.h"
-#include "core/dense_engine.h"
 #include "core/engine_registry.h"
 #include "core/linearized_engine.h"
 #include "core/naive_similarity.h"
@@ -20,6 +19,7 @@
 namespace simrankpp {
 namespace {
 
+// Exact mode: nothing pruned, no partner cap.
 SimRankOptions PaperOptions(size_t iterations = 7) {
   SimRankOptions options;
   options.c1 = 0.8;
@@ -55,9 +55,9 @@ TEST(NaiveSimilarityTest, ReproducesTable1) {
 
 // ----------------------------------------------- Table 2 (Fig. 3 scores)
 
-TEST(DenseEngineTest, ReproducesTable2ConvergedScores) {
+TEST(Table2Test, ExactModeReproducesConvergedScores) {
   BipartiteGraph graph = MakeFigure3Graph();
-  DenseSimRankEngine engine(PaperOptions(/*iterations=*/100));
+  SparseSimRankEngine engine(PaperOptions(/*iterations=*/100));
   ASSERT_TRUE(engine.Run(graph).ok());
 
   EXPECT_NEAR(Score(engine, graph, "pc", "camera"), 0.619, 0.001);
@@ -82,11 +82,11 @@ struct IterationCase {
 
 class Table3Test : public ::testing::TestWithParam<IterationCase> {};
 
-TEST_P(Table3Test, DenseEngineMatchesPrintedValues) {
+TEST_P(Table3Test, ExactModeMatchesPrintedValues) {
   BipartiteGraph k22 = MakeFigure4K22();
   BipartiteGraph k12 = MakeFigure4K12();
-  DenseSimRankEngine e22(PaperOptions(GetParam().iterations));
-  DenseSimRankEngine e12(PaperOptions(GetParam().iterations));
+  SparseSimRankEngine e22(PaperOptions(GetParam().iterations));
+  SparseSimRankEngine e12(PaperOptions(GetParam().iterations));
   ASSERT_TRUE(e22.Run(k22).ok());
   ASSERT_TRUE(e12.Run(k12).ok());
   EXPECT_NEAR(Score(e22, k22, "camera", "digital camera"),
@@ -114,14 +114,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------- structural invariants
 
-class EngineVariantTest
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, SimRankVariant>> {
+class EngineVariantTest : public ::testing::TestWithParam<SimRankVariant> {
  protected:
   std::unique_ptr<SimRankEngine> MakeEngine(size_t iterations = 7) {
     SimRankOptions options = PaperOptions(iterations);
-    options.variant = std::get<1>(GetParam());
-    auto result = CreateSimRankEngine(std::get<0>(GetParam()), options);
+    options.variant = GetParam();
+    auto result = CreateSimRankEngine("sparse", options);
     EXPECT_TRUE(result.ok());
     return std::move(result).value();
   }
@@ -177,57 +175,7 @@ TEST_P(EngineVariantTest, ExportedMatrixMatchesPointReads) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllEnginesAllVariants, EngineVariantTest,
-    ::testing::Combine(::testing::Values("dense", "sparse"),
-                       ::testing::Values(SimRankVariant::kSimRank,
-                                         SimRankVariant::kEvidence,
-                                         SimRankVariant::kWeighted)));
-
-// ----------------------------------------------- dense vs sparse agreement
-
-class EngineAgreementTest : public ::testing::TestWithParam<SimRankVariant> {
-};
-
-TEST_P(EngineAgreementTest, DenseAndUnprunedSparseAgree) {
-  BipartiteGraph graph = MakeFigure3Graph();
-  SimRankOptions options = PaperOptions(/*iterations=*/10);
-  options.variant = GetParam();
-  DenseSimRankEngine dense(options);
-  SparseSimRankEngine sparse(options);
-  ASSERT_TRUE(dense.Run(graph).ok());
-  ASSERT_TRUE(sparse.Run(graph).ok());
-  for (QueryId a = 0; a < graph.num_queries(); ++a) {
-    for (QueryId b = 0; b < graph.num_queries(); ++b) {
-      EXPECT_NEAR(dense.QueryScore(a, b), sparse.QueryScore(a, b), 1e-9)
-          << "pair (" << a << ", " << b << ")";
-    }
-  }
-  for (AdId a = 0; a < graph.num_ads(); ++a) {
-    for (AdId b = 0; b < graph.num_ads(); ++b) {
-      EXPECT_NEAR(dense.AdScore(a, b), sparse.AdScore(a, b), 1e-9);
-    }
-  }
-}
-
-TEST_P(EngineAgreementTest, MultithreadedMatchesSingleThreaded) {
-  BipartiteGraph graph = MakeCompleteBipartite(5, 4);
-  SimRankOptions options = PaperOptions(/*iterations=*/6);
-  options.variant = GetParam();
-  SimRankOptions parallel_options = options;
-  parallel_options.num_threads = 4;
-  DenseSimRankEngine serial(options);
-  DenseSimRankEngine parallel(parallel_options);
-  ASSERT_TRUE(serial.Run(graph).ok());
-  ASSERT_TRUE(parallel.Run(graph).ok());
-  for (QueryId a = 0; a < graph.num_queries(); ++a) {
-    for (QueryId b = 0; b < graph.num_queries(); ++b) {
-      EXPECT_DOUBLE_EQ(serial.QueryScore(a, b), parallel.QueryScore(a, b));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Variants, EngineAgreementTest,
+INSTANTIATE_TEST_SUITE_P(AllVariants, EngineVariantTest,
                          ::testing::Values(SimRankVariant::kSimRank,
                                            SimRankVariant::kEvidence,
                                            SimRankVariant::kWeighted));
@@ -238,7 +186,7 @@ TEST(ConvergenceTest, DeltaShrinksMonotonically) {
   BipartiteGraph graph = MakeCompleteBipartite(3, 3);
   double previous_delta = 2.0;
   for (size_t k = 1; k <= 8; ++k) {
-    DenseSimRankEngine engine(PaperOptions(k));
+    SparseSimRankEngine engine(PaperOptions(k));
     ASSERT_TRUE(engine.Run(graph).ok());
     EXPECT_LE(engine.stats().last_delta, previous_delta + 1e-12);
     previous_delta = engine.stats().last_delta;
@@ -249,7 +197,7 @@ TEST(ConvergenceTest, EarlyExitOnEpsilon) {
   BipartiteGraph graph = MakeCompleteBipartite(3, 3);
   SimRankOptions options = PaperOptions(/*iterations=*/1000);
   options.convergence_epsilon = 1e-10;
-  DenseSimRankEngine engine(options);
+  SparseSimRankEngine engine(options);
   ASSERT_TRUE(engine.Run(graph).ok());
   EXPECT_LT(engine.stats().iterations_run, 1000u);
   EXPECT_LT(engine.stats().last_delta, 1e-10);
@@ -273,8 +221,8 @@ TEST(DecayFactorTest, SmallerCGivesSmallerScores) {
   SimRankOptions strong = PaperOptions(20);
   SimRankOptions weak = PaperOptions(20);
   weak.c1 = weak.c2 = 0.4;
-  DenseSimRankEngine strong_engine(strong);
-  DenseSimRankEngine weak_engine(weak);
+  SparseSimRankEngine strong_engine(strong);
+  SparseSimRankEngine weak_engine(weak);
   ASSERT_TRUE(strong_engine.Run(graph).ok());
   ASSERT_TRUE(weak_engine.Run(graph).ok());
   EXPECT_LT(Score(weak_engine, graph, "pc", "camera"),
@@ -285,7 +233,7 @@ TEST(DecayFactorTest, C2OneMakesK12PairPerfect) {
   BipartiteGraph k12 = MakeFigure4K12();
   SimRankOptions options = PaperOptions(5);
   options.c1 = options.c2 = 1.0;
-  DenseSimRankEngine engine(options);
+  SparseSimRankEngine engine(options);
   ASSERT_TRUE(engine.Run(k12).ok());
   EXPECT_DOUBLE_EQ(Score(engine, k12, "pc", "camera"), 1.0);
 }
@@ -359,9 +307,6 @@ TEST(OptionsValidationTest, EveryInvalidRangeGetsADistinctActionableError) {
 // Each built-in name is seeded on first use and builds its own engine,
 // and an unknown name's error lists the registered names in sorted order.
 TEST(EngineRegistryTest, BuiltinsAreRegistered) {
-  auto dense = CreateSimRankEngine("dense", SimRankOptions());
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-  EXPECT_NE(dynamic_cast<DenseSimRankEngine*>(dense->get()), nullptr);
   auto linearized = CreateSimRankEngine("linearized", SimRankOptions());
   ASSERT_TRUE(linearized.ok()) << linearized.status().ToString();
   EXPECT_NE(dynamic_cast<LinearizedSimRankEngine*>(linearized->get()),
@@ -373,7 +318,7 @@ TEST(EngineRegistryTest, BuiltinsAreRegistered) {
   auto unknown = CreateSimRankEngine("", SimRankOptions());
   ASSERT_FALSE(unknown.ok());
   EXPECT_NE(unknown.status().message().find(
-                "(registered: dense, linearized, sparse)"),
+                "(registered: linearized, sparse)"),
             std::string::npos)
       << unknown.status().message();
 }
@@ -383,14 +328,13 @@ TEST(EngineRegistryTest, UnknownNameListsRegisteredEngines) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   EXPECT_NE(result.status().message().find("quadratic"), std::string::npos);
-  EXPECT_NE(result.status().message().find("dense"), std::string::npos);
   EXPECT_NE(result.status().message().find("linearized"), std::string::npos);
   EXPECT_NE(result.status().message().find("sparse"), std::string::npos);
 }
 
 TEST(EngineRegistryTest, RejectsDuplicateAndDegenerateRegistrations) {
   Status duplicate = RegisterSimRankEngine(
-      "dense", [](const SimRankOptions&) -> Result<std::unique_ptr<SimRankEngine>> {
+      "sparse", [](const SimRankOptions&) -> Result<std::unique_ptr<SimRankEngine>> {
         return Status::Internal("never called");
       });
   EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
@@ -403,7 +347,7 @@ TEST(EngineRegistryTest, RejectsDuplicateAndDegenerateRegistrations) {
 TEST(EngineRegistryTest, PropagatesInvalidOptions) {
   SimRankOptions options;
   options.iterations = 0;
-  EXPECT_FALSE(CreateSimRankEngine("dense", options).ok());
+  EXPECT_FALSE(CreateSimRankEngine("linearized", options).ok());
   EXPECT_FALSE(CreateSimRankEngine("sparse", options).ok());
 }
 

@@ -474,12 +474,6 @@ TEST(SimdDispatchEquivalenceTest, ByteIdenticalAcrossDispatchLevels) {
                  SimRankVariant::kWeighted});
 }
 
-TEST(SimdDispatchEquivalenceTest, DenseByteIdenticalAcrossDispatchLevels) {
-  ExpectByteIdenticalAcrossLevels(
-      "dense", {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
-                SimRankVariant::kWeighted});
-}
-
 TEST(SimdDispatchEquivalenceTest,
      LinearizedByteIdenticalAcrossDispatchLevels) {
   ExpectByteIdenticalAcrossLevels(
@@ -488,20 +482,27 @@ TEST(SimdDispatchEquivalenceTest,
 
 // Zero pruning keeps every reachable pair alive; the candidate-superset
 // argument (extra candidates always sum to exactly zero and are dropped
-// by the `value > 0` gate) must hold there too.
+// by the `value > 0` gate) must hold there too. This exact mode is what
+// the paper tables run on, so every variant is pinned.
 TEST(SparseEquivalenceCapTest, NoPruningNoCapStaysBitIdentical) {
   BipartiteGraph graph = SeededGraph();
-  SimRankOptions options = BaseOptions(SimRankVariant::kSimRank);
-  options.prune_threshold = 0.0;
-  options.max_partners_per_node = 0;
-  options.iterations = 5;
+  for (SimRankVariant variant :
+       {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
+        SimRankVariant::kWeighted}) {
+    SCOPED_TRACE(SimRankVariantName(variant));
+    SimRankOptions options = BaseOptions(variant);
+    options.prune_threshold = 0.0;
+    options.max_partners_per_node = 0;
+    options.iterations = 5;
 
-  ReferenceSparseSimRank reference(options);
-  reference.Run(graph);
-  SparseSimRankEngine engine(options);
-  ASSERT_TRUE(engine.Run(graph).ok());
-  ExpectIdentical(engine.ExportQueryScores(0.0), reference.ExportQueryScores());
-  ExpectIdentical(engine.ExportAdScores(0.0), reference.ExportAdScores());
+    ReferenceSparseSimRank reference(options);
+    reference.Run(graph);
+    SparseSimRankEngine engine(options);
+    ASSERT_TRUE(engine.Run(graph).ok());
+    ExpectIdentical(engine.ExportQueryScores(0.0),
+                    reference.ExportQueryScores());
+    ExpectIdentical(engine.ExportAdScores(0.0), reference.ExportAdScores());
+  }
 }
 
 }  // namespace

@@ -1,23 +1,31 @@
 // The paper's appendix theorems as executable properties. Each theorem is
-// checked both through the closed forms and through the actual engines.
+// checked both through the closed forms and through the sparse engine in
+// exact mode (no pruning, no partner cap).
 #include <gtest/gtest.h>
 
 #include "core/closed_form.h"
-#include "core/dense_engine.h"
 #include "core/evidence.h"
 #include "core/sample_graphs.h"
+#include "core/sparse_engine.h"
 
 namespace simrankpp {
 namespace {
 
+SimRankOptions ExactOptions() {
+  SimRankOptions options;
+  options.prune_threshold = 0.0;
+  options.max_partners_per_node = 0;
+  return options;
+}
+
 double EnginePairScore(const BipartiteGraph& graph, SimRankVariant variant,
                        size_t iterations, double c1 = 0.8, double c2 = 0.8) {
-  SimRankOptions options;
+  SimRankOptions options = ExactOptions();
   options.variant = variant;
   options.iterations = iterations;
   options.c1 = c1;
   options.c2 = c2;
-  DenseSimRankEngine engine(options);
+  SparseSimRankEngine engine(options);
   EXPECT_TRUE(engine.Run(graph).ok());
   return engine.QueryScore(0, 1);  // the two V1 ("query"-side) nodes
 }
@@ -86,9 +94,9 @@ TEST_P(Theorem62Test, EngineAgreesWithRecurrence) {
   auto [m, n] = GetParam();
   for (size_t graph_m : {m, n}) {
     BipartiteGraph graph = MakeCompleteBipartite(graph_m, 2);
-    SimRankOptions options;
+    SimRankOptions options = ExactOptions();
     options.iterations = 6;
-    DenseSimRankEngine engine(options);
+    SparseSimRankEngine engine(options);
     ASSERT_TRUE(engine.Run(graph).ok());
     // The V2 pair here is the two ads.
     double expected =
@@ -143,11 +151,11 @@ TEST_P(Theorem71Test, EngineReproducesEvidenceOrdering) {
   size_t n = GetParam();
   BipartiteGraph small = MakeCompleteBipartite(1, 2);
   BipartiteGraph large = MakeCompleteBipartite(n, 2);
-  SimRankOptions options;
+  SimRankOptions options = ExactOptions();
   options.variant = SimRankVariant::kEvidence;
   options.iterations = 40;
-  DenseSimRankEngine small_engine(options);
-  DenseSimRankEngine large_engine(options);
+  SparseSimRankEngine small_engine(options);
+  SparseSimRankEngine large_engine(options);
   ASSERT_TRUE(small_engine.Run(small).ok());
   ASSERT_TRUE(large_engine.Run(large).ok());
   EXPECT_LT(small_engine.AdScore(0, 1), large_engine.AdScore(0, 1));

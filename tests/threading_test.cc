@@ -1,4 +1,4 @@
-// Determinism of the parallel iteration paths: all three engines must
+// Determinism of the parallel iteration paths: both engines must
 // produce bit-identical exported scores for every num_threads setting,
 // because work is sharded by a partition that never depends on the thread count
 // and per-shard results merge in a fixed order (no atomics on scores).
@@ -11,7 +11,6 @@
 
 #include <algorithm>
 
-#include "core/dense_engine.h"
 #include "core/linearized_engine.h"
 #include "core/sparse_engine.h"
 #include "synth/click_graph_generator.h"
@@ -21,8 +20,8 @@
 namespace simrankpp {
 namespace {
 
-// Seeded stand-in for the experiment click graph, scaled down so the
-// dense engine stays fast.
+// Seeded stand-in for the experiment click graph, scaled down so every
+// engine run stays fast.
 BipartiteGraph SeededGraph() {
   GeneratorOptions options;
   options.num_queries = 400;
@@ -78,14 +77,6 @@ void CheckThreadCountInvariance(SimRankVariant variant) {
     ExpectIdentical(engine.ExportQueryScores(0.0), reference_queries);
     ExpectIdentical(engine.ExportAdScores(0.0), reference_ads);
   }
-}
-
-TEST(ThreadingTest, DenseSimRankBitIdenticalAcrossThreadCounts) {
-  CheckThreadCountInvariance<DenseSimRankEngine>(SimRankVariant::kSimRank);
-}
-
-TEST(ThreadingTest, DenseWeightedBitIdenticalAcrossThreadCounts) {
-  CheckThreadCountInvariance<DenseSimRankEngine>(SimRankVariant::kWeighted);
 }
 
 TEST(ThreadingTest, SparseSimRankBitIdenticalAcrossThreadCounts) {

@@ -6,8 +6,8 @@
 
 #include <cmath>
 
-#include "core/dense_engine.h"
 #include "core/sample_graphs.h"
+#include "core/sparse_engine.h"
 #include "core/weighted_transitions.h"
 #include "graph/graph_builder.h"
 #include "util/random.h"
@@ -73,12 +73,21 @@ TEST(TransitionModelTest, ZeroWeightNodeKeepsAllMass) {
 
 // ------------------------------------------------ Figure 5/6 consistency
 
+// The engine runs below use the sparse engine in exact mode: nothing
+// pruned, no partner cap.
+SimRankOptions ExactOptions() {
+  SimRankOptions options;
+  options.prune_threshold = 0.0;
+  options.max_partners_per_node = 0;
+  return options;
+}
+
 double WeightedPairScore(const BipartiteGraph& graph, const char* q1,
                          const char* q2, size_t iterations = 10) {
-  SimRankOptions options;
+  SimRankOptions options = ExactOptions();
   options.variant = SimRankVariant::kWeighted;
   options.iterations = iterations;
-  DenseSimRankEngine engine(options);
+  SparseSimRankEngine engine(options);
   EXPECT_TRUE(engine.Run(graph).ok());
   return engine.QueryScore(*graph.FindQuery(q1), *graph.FindQuery(q2));
 }
@@ -94,10 +103,10 @@ TEST(ConsistencyTest, Figure5BalancedPairMoreSimilar) {
 }
 
 TEST(ConsistencyTest, PlainSimRankCannotSeeFigure5Difference) {
-  SimRankOptions options;
+  SimRankOptions options = ExactOptions();
   options.iterations = 10;
-  DenseSimRankEngine balanced_engine(options);
-  DenseSimRankEngine skewed_engine(options);
+  SparseSimRankEngine balanced_engine(options);
+  SparseSimRankEngine skewed_engine(options);
   BipartiteGraph balanced = MakeFigure5Graph(true);
   BipartiteGraph skewed = MakeFigure5Graph(false);
   ASSERT_TRUE(balanced_engine.Run(balanced).ok());
@@ -177,10 +186,10 @@ TEST(WeightedEngineTest, WeightedScoresRespectEdgeStrengthOnFigure3) {
 
 TEST(WeightedEngineTest, UniformWeightsStayBounded) {
   BipartiteGraph graph = MakeCompleteBipartite(4, 4);
-  SimRankOptions options;
+  SimRankOptions options = ExactOptions();
   options.variant = SimRankVariant::kWeighted;
   options.iterations = 30;
-  DenseSimRankEngine engine(options);
+  SparseSimRankEngine engine(options);
   ASSERT_TRUE(engine.Run(graph).ok());
   for (QueryId a = 0; a < 4; ++a) {
     for (QueryId b = 0; b < 4; ++b) {
