@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <set>
+#include <tuple>
 
 #include "core/closed_form.h"
 #include "core/engine_registry.h"
@@ -114,12 +115,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --------------------------------------------------- structural invariants
 
-class EngineVariantTest : public ::testing::TestWithParam<SimRankVariant> {
+// Both registered engines, each with every variant it accepts (the
+// linearized engine rejects kWeighted).
+class EngineVariantTest
+    : public ::testing::TestWithParam<
+          std::tuple<const char*, SimRankVariant>> {
  protected:
   std::unique_ptr<SimRankEngine> MakeEngine(size_t iterations = 7) {
     SimRankOptions options = PaperOptions(iterations);
-    options.variant = GetParam();
-    auto result = CreateSimRankEngine("sparse", options);
+    options.variant = std::get<1>(GetParam());
+    auto result = CreateSimRankEngine(std::get<0>(GetParam()), options);
     EXPECT_TRUE(result.ok());
     return std::move(result).value();
   }
@@ -175,7 +180,70 @@ TEST_P(EngineVariantTest, ExportedMatrixMatchesPointReads) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, EngineVariantTest,
+INSTANTIATE_TEST_SUITE_P(
+    AllEnginesAllVariants, EngineVariantTest,
+    ::testing::Values(std::make_tuple("sparse", SimRankVariant::kSimRank),
+                      std::make_tuple("sparse", SimRankVariant::kEvidence),
+                      std::make_tuple("sparse", SimRankVariant::kWeighted),
+                      std::make_tuple("linearized", SimRankVariant::kSimRank),
+                      std::make_tuple("linearized",
+                                      SimRankVariant::kEvidence)));
+
+// ---------------------------------------- exact mode vs threads and pruning
+
+class EngineAgreementTest : public ::testing::TestWithParam<SimRankVariant> {
+};
+
+TEST_P(EngineAgreementTest, MultithreadedMatchesSingleThreaded) {
+  BipartiteGraph graph = MakeCompleteBipartite(5, 4);
+  SimRankOptions options = PaperOptions(/*iterations=*/6);
+  options.variant = GetParam();
+  SimRankOptions parallel_options = options;
+  parallel_options.num_threads = 4;
+  SparseSimRankEngine serial(options);
+  SparseSimRankEngine parallel(parallel_options);
+  ASSERT_TRUE(serial.Run(graph).ok());
+  ASSERT_TRUE(parallel.Run(graph).ok());
+  for (QueryId a = 0; a < graph.num_queries(); ++a) {
+    for (QueryId b = 0; b < graph.num_queries(); ++b) {
+      EXPECT_DOUBLE_EQ(serial.QueryScore(a, b), parallel.QueryScore(a, b));
+    }
+  }
+}
+
+// Every term of each recurrence is non-negative, so dropping pairs (by
+// threshold or partner cap) can only lower a score: the pruned run never
+// exceeds exact mode, and it does drop pairs.
+TEST_P(EngineAgreementTest, PruningNeverRaisesExactModeScores) {
+  BipartiteGraph graph = MakeFigure3Graph();
+  SimRankOptions exact = PaperOptions(/*iterations=*/10);
+  exact.variant = GetParam();
+  SimRankOptions pruned = exact;
+  pruned.prune_threshold = 0.1;
+  pruned.max_partners_per_node = 1;
+  SparseSimRankEngine exact_engine(exact);
+  SparseSimRankEngine pruned_engine(pruned);
+  ASSERT_TRUE(exact_engine.Run(graph).ok());
+  ASSERT_TRUE(pruned_engine.Run(graph).ok());
+  for (QueryId a = 0; a < graph.num_queries(); ++a) {
+    for (QueryId b = 0; b < graph.num_queries(); ++b) {
+      EXPECT_LE(pruned_engine.QueryScore(a, b),
+                exact_engine.QueryScore(a, b) + 1e-12)
+          << "pair (" << a << ", " << b << ")";
+    }
+  }
+  for (AdId a = 0; a < graph.num_ads(); ++a) {
+    for (AdId b = 0; b < graph.num_ads(); ++b) {
+      EXPECT_LE(pruned_engine.AdScore(a, b),
+                exact_engine.AdScore(a, b) + 1e-12)
+          << "ads (" << a << ", " << b << ")";
+    }
+  }
+  EXPECT_LT(pruned_engine.stats().query_pairs + pruned_engine.stats().ad_pairs,
+            exact_engine.stats().query_pairs + exact_engine.stats().ad_pairs);
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, EngineAgreementTest,
                          ::testing::Values(SimRankVariant::kSimRank,
                                            SimRankVariant::kEvidence,
                                            SimRankVariant::kWeighted));

@@ -439,13 +439,19 @@ LevelRun RunAtActiveLevel(const char* engine_name,
 // programmatically and compared against the scalar run; the unsupported
 // ones are skipped (the CI simd-scalar-fallback leg plus vector-capable
 // runners cover all). One test per engine, so a failure names it.
+// `exact_mode` turns pruning and the partner cap off.
 void ExpectByteIdenticalAcrossLevels(
-    const char* engine, const std::vector<SimRankVariant>& variants) {
+    const char* engine, const std::vector<SimRankVariant>& variants,
+    bool exact_mode = false) {
   BipartiteGraph graph = SeededGraph();
   const simd::SimdLevel before = simd::ActiveSimdLevel();
   for (SimRankVariant variant : variants) {
     SCOPED_TRACE(std::string(engine) + "/" + SimRankVariantName(variant));
     SimRankOptions options = BaseOptions(variant);
+    if (exact_mode) {
+      options.prune_threshold = 0.0;
+      options.max_partners_per_node = 0;
+    }
     ASSERT_TRUE(simd::SetSimdLevel(simd::SimdLevel::kScalar));
     const LevelRun want = RunAtActiveLevel(engine, options, graph);
     EXPECT_EQ(want.simd_level, "scalar");
@@ -472,6 +478,15 @@ TEST(SimdDispatchEquivalenceTest, ByteIdenticalAcrossDispatchLevels) {
   ExpectByteIdenticalAcrossLevels(
       "sparse", {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
                  SimRankVariant::kWeighted});
+}
+
+// Exact mode is what the paper tables run on.
+TEST(SimdDispatchEquivalenceTest, ExactModeByteIdenticalAcrossDispatchLevels) {
+  ExpectByteIdenticalAcrossLevels(
+      "sparse",
+      {SimRankVariant::kSimRank, SimRankVariant::kEvidence,
+       SimRankVariant::kWeighted},
+      /*exact_mode=*/true);
 }
 
 TEST(SimdDispatchEquivalenceTest,

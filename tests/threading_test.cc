@@ -35,12 +35,15 @@ BipartiteGraph SeededGraph() {
   return std::move(world)->graph;
 }
 
-SimRankOptions ThreadedOptions(SimRankVariant variant, size_t num_threads) {
+// `exact_mode` turns pruning and the partner cap off: the exact
+// fixed-point iteration the paper tables run on.
+SimRankOptions ThreadedOptions(SimRankVariant variant, size_t num_threads,
+                               bool exact_mode = false) {
   SimRankOptions options;
   options.variant = variant;
   options.iterations = 5;
-  options.prune_threshold = 1e-5;
-  options.max_partners_per_node = 50;
+  options.prune_threshold = exact_mode ? 0.0 : 1e-5;
+  options.max_partners_per_node = exact_mode ? 0 : 50;
   options.num_threads = num_threads;
   return options;
 }
@@ -60,9 +63,10 @@ size_t ExpectedThreadsUsed(size_t requested) {
 }
 
 template <typename Engine>
-void CheckThreadCountInvariance(SimRankVariant variant) {
+void CheckThreadCountInvariance(SimRankVariant variant,
+                                bool exact_mode = false) {
   BipartiteGraph graph = SeededGraph();
-  Engine reference(ThreadedOptions(variant, 1));
+  Engine reference(ThreadedOptions(variant, 1, exact_mode));
   ASSERT_TRUE(reference.Run(graph).ok());
   EXPECT_EQ(reference.stats().threads_used, 1u);
   SimilarityMatrix reference_queries = reference.ExportQueryScores(0.0);
@@ -71,7 +75,7 @@ void CheckThreadCountInvariance(SimRankVariant variant) {
   EXPECT_GT(reference_ads.num_pairs(), 0u);
 
   for (size_t num_threads : {size_t{4}, size_t{0}}) {
-    Engine engine(ThreadedOptions(variant, num_threads));
+    Engine engine(ThreadedOptions(variant, num_threads, exact_mode));
     ASSERT_TRUE(engine.Run(graph).ok());
     EXPECT_EQ(engine.stats().threads_used, ExpectedThreadsUsed(num_threads));
     ExpectIdentical(engine.ExportQueryScores(0.0), reference_queries);
@@ -89,6 +93,21 @@ TEST(ThreadingTest, SparseEvidenceBitIdenticalAcrossThreadCounts) {
 
 TEST(ThreadingTest, SparseWeightedBitIdenticalAcrossThreadCounts) {
   CheckThreadCountInvariance<SparseSimRankEngine>(SimRankVariant::kWeighted);
+}
+
+TEST(ThreadingTest, SparseExactSimRankBitIdenticalAcrossThreadCounts) {
+  CheckThreadCountInvariance<SparseSimRankEngine>(SimRankVariant::kSimRank,
+                                                  /*exact_mode=*/true);
+}
+
+TEST(ThreadingTest, SparseExactEvidenceBitIdenticalAcrossThreadCounts) {
+  CheckThreadCountInvariance<SparseSimRankEngine>(SimRankVariant::kEvidence,
+                                                  /*exact_mode=*/true);
+}
+
+TEST(ThreadingTest, SparseExactWeightedBitIdenticalAcrossThreadCounts) {
+  CheckThreadCountInvariance<SparseSimRankEngine>(SimRankVariant::kWeighted,
+                                                  /*exact_mode=*/true);
 }
 
 TEST(ThreadingTest, LinearizedSimRankBitIdenticalAcrossThreadCounts) {
